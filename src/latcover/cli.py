@@ -12,21 +12,19 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath
-import numpy as np
 
 from .exactnum import embed_complex
 from .fpgroups import (EnumerationLimit, Presentation, Word, format_word,
-                       parse_presentation, parse_word, schreier_system,
-                       tietze_reduce, todd_coxeter)
+                       parse_word, schreier_system, tietze_reduce,
+                       todd_coxeter)
 from .nq2 import class2_quotient, rf_certificate
-from .pathlift import (central_log, elliptic_log, lift_presentation,
-                       normalize_lift, relator_path, winding_number)
-from .presets import LatticePreset, dm_lattice, preset_ids, verify_preset
-from .su21 import (GroupMatrix, check_unitary, parse_matrix_file, scale_to_su,
-                   standard_form_conjugator)
+from .pathlift import generator_logs, relator_path, winding_number
+from .presets import (Lattice, LatticePreset, dm_lattice, file_lattice,
+                      preset_ids, read_words, verify_preset)
+from .su21 import GroupMatrix
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -38,73 +36,32 @@ class InputError(Exception):
     """Bad arguments or unusable input files; maps to exit code 2."""
 
 
-class _Inputs:
-    """Resolved presentation plus optional matrices and subgroup words."""
-
-    __slots__ = ("presentation", "matrices", "standard_numerics", "preset",
-                 "subgroup")
-
-    def __init__(self, presentation, matrices, standard_numerics, preset,
-                 subgroup):
-        self.presentation = presentation
-        self.matrices = matrices
-        self.standard_numerics = standard_numerics
-        self.preset = preset
-        self.subgroup = subgroup
-
-
-def _load_inputs(args) -> _Inputs:
-    preset: Optional[LatticePreset] = None
-    matrices: Optional[Dict[str, GroupMatrix]] = None
-    numerics = None
-    if getattr(args, "preset", None) and getattr(args, "pres", None):
+def _load_inputs(args) -> Tuple[Lattice, Optional[List[Word]]]:
+    if args.preset and args.pres:
         raise ValueError("choose one of --preset or --pres, not both")
-    if getattr(args, "preset", None):
-        preset = dm_lattice(args.preset)
-        presentation = preset.presentation
-        matrices = preset.matrices
-        numerics = preset.standard_numerics
-    elif getattr(args, "pres", None):
-        presentation = parse_presentation(Path(args.pres).read_text())
-        if getattr(args, "matrices", None):
-            form, raw = parse_matrix_file(Path(args.matrices).read_text())
-            missing = [g for g in presentation.gens if g not in raw]
-            if missing:
-                raise ValueError(f"matrix file lacks generators {missing}")
-            matrices = {g: scale_to_su(raw[g]) for g in presentation.gens}
-            for name, mat in matrices.items():
-                if not check_unitary(mat):
-                    raise ValueError(f"matrix {name} is not unitary for the "
-                                     f"declared form")
-            if not form.is_standard:
-                conj = standard_form_conjugator(form)
-                conj_inv = np.linalg.inv(conj)
-                numerics = {g: conj @ matrices[g].numeric @ conj_inv
-                            for g in presentation.gens}
+    if args.preset:
+        lattice = dm_lattice(args.preset)
+    elif args.pres:
+        lattice = file_lattice(args.pres, args.matrices)
     else:
         raise ValueError("missing input: pass --preset ID or --pres FILE "
                          f"(presets: {', '.join(preset_ids())})")
 
     subgroup: Optional[List[Word]] = None
-    sub_arg = getattr(args, "subgroup", None)
-    if sub_arg:
-        path = Path(sub_arg)
-        looks_like_path = os.sep in sub_arg or path.suffix != ""
+    if args.subgroup:
+        path = Path(args.subgroup)
+        looks_like_path = os.sep in args.subgroup or path.suffix != ""
         if path.is_file():
-            subgroup = []
-            for raw_line in path.read_text().splitlines():
-                line = raw_line.split("#", 1)[0].strip()
-                if line:
-                    subgroup.append(presentation.word(line))
-        elif preset is not None and not looks_like_path:
-            subgroup = preset.subgroup_words(sub_arg)
+            subgroup = read_words(path, lattice.presentation)
+        elif isinstance(lattice, LatticePreset) and not looks_like_path:
+            subgroup = lattice.subgroup_words(args.subgroup)
         else:
-            raise FileNotFoundError(f"subgroup file not found: {sub_arg}")
-    return _Inputs(presentation, matrices, numerics, preset, subgroup)
+            raise FileNotFoundError(f"subgroup file not found: {args.subgroup}")
+    return lattice, subgroup
 
 
-def _require_matrices(inputs: _Inputs) -> None:
-    if inputs.matrices is None:
+def _require_matrices(lattice: Lattice) -> None:
+    if lattice.matrices is None:
         raise InputError("this subcommand needs generator matrices: pass "
                          "--preset ID or --pres FILE with --matrices FILE")
 
@@ -112,17 +69,10 @@ def _require_matrices(inputs: _Inputs) -> None:
 # ------------------------------------------------------------------ lift
 
 
-def _lift(inputs: _Inputs, samples: int):
-    lifted = lift_presentation(inputs.presentation, inputs.matrices,
-                               standard_numerics=inputs.standard_numerics,
-                               samples_per_letter=samples)
-    return normalize_lift(lifted)
-
-
-def cmd_lift(inputs: _Inputs, args) -> Tuple[str, int]:
-    _require_matrices(inputs)
-    lifted = _lift(inputs, args.samples)
-    pres = inputs.presentation
+def cmd_lift(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
+    _require_matrices(lattice)
+    lifted = lattice.lift(args.samples)
+    pres = lattice.presentation
     names = pres.gens + [lifted.z_name]
     z = len(pres.gens)
     lines = ["generators: " + " ".join(names)]
@@ -133,17 +83,6 @@ def cmd_lift(inputs: _Inputs, args) -> Tuple[str, int]:
 
 
 # ------------------------------------------------------------------ winding
-
-
-def _path_logs(inputs: _Inputs):
-    pres = inputs.presentation
-    if inputs.standard_numerics is not None:
-        numeric = [inputs.standard_numerics[g] for g in pres.gens]
-    else:
-        numeric = [inputs.matrices[g].numeric for g in pres.gens]
-    logs = [elliptic_log(mat, index=i) for i, mat in enumerate(numeric)]
-    logs.append(central_log(index=pres.ngens))
-    return logs
 
 
 def _svg(path) -> str:
@@ -176,9 +115,9 @@ def _svg(path) -> str:
     )
 
 
-def cmd_winding(inputs: _Inputs, args) -> Tuple[str, int]:
-    _require_matrices(inputs)
-    pres = inputs.presentation
+def cmd_winding(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
+    _require_matrices(lattice)
+    pres = lattice.presentation
     names = list(pres.gens)
     if "z" not in names:
         names.append("z")
@@ -186,8 +125,7 @@ def cmd_winding(inputs: _Inputs, args) -> Tuple[str, int]:
         word = parse_word(args.word, names)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    logs = _path_logs(inputs)
-    path = relator_path(word, logs, args.samples)
+    path = relator_path(word, generator_logs(lattice.numerics()), args.samples)
     lines = []
     if args.open_path:
         end = path.endpoint
@@ -198,7 +136,10 @@ def cmd_winding(inputs: _Inputs, args) -> Tuple[str, int]:
     for s, value in zip(path.s, path.values):
         lines.append(f"{s:.9f},{value.real:.9f},{value.imag:.9f}")
     if args.svg:
-        Path(args.svg).write_text(_svg(path))
+        try:
+            Path(args.svg).write_text(_svg(path))
+        except OSError as exc:
+            raise InputError(f"cannot write SVG trace: {exc}") from None
     return "\n".join(lines) + "\n", EXIT_OK
 
 
@@ -223,17 +164,16 @@ def _residual_at_bits(mat: GroupMatrix, bits: int) -> float:
     return float(worst)
 
 
-def cmd_verify(inputs: _Inputs, args) -> Tuple[str, int]:
-    if inputs.preset is None:
+def cmd_verify(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
+    if not isinstance(lattice, LatticePreset):
         raise InputError("verify checks a packaged preset: pass --preset ID")
-    preset = inputs.preset
-    lines = [f"preset {preset.name} (weights {preset.label})"]
-    for text, j in verify_preset(preset):
+    lines = [f"preset {lattice.name} (weights {lattice.label})"]
+    for text, j in verify_preset(lattice):
         value = "1" if j == 0 else ("z" if j == 1 else f"z^{j}")
         lines.append(f"{text} = {value}")
     lines.append("all relator values match (exact arithmetic)")
-    for name in preset.presentation.gens:
-        res = _residual_at_bits(preset.matrices[name], args.bits)
+    for name in lattice.presentation.gens:
+        res = _residual_at_bits(lattice.matrices[name], args.bits)
         lines.append(f"unitarity residual of {name} at {args.bits} bits: "
                      f"{res:.3e}")
     return "\n".join(lines) + "\n", EXIT_OK
@@ -242,12 +182,12 @@ def cmd_verify(inputs: _Inputs, args) -> Tuple[str, int]:
 # ------------------------------------------------------------------ cosets
 
 
-def cmd_cosets(inputs: _Inputs, args) -> Tuple[str, int]:
-    words = inputs.subgroup or []
-    table = todd_coxeter(inputs.presentation, words,
+def cmd_cosets(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
+    words = subgroup or []
+    table = todd_coxeter(lattice.presentation, words,
                          max_cosets=args.max_cosets)
     lines = [f"index: {table.index}",
-             f"valid: {'yes' if table.validates(inputs.presentation, words) else 'no'}"]
+             f"valid: {'yes' if table.validates(lattice.presentation, words) else 'no'}"]
     if words:
         lines.append(f"normal: {'yes' if table.fixes_all_cosets(words) else 'no'}")
     return "\n".join(lines) + "\n", EXIT_OK
@@ -256,18 +196,19 @@ def cmd_cosets(inputs: _Inputs, args) -> Tuple[str, int]:
 # ------------------------------------------------------------------ subpres
 
 
-def _subgroup_presentation(inputs: _Inputs, max_cosets: int) -> Presentation:
-    if not inputs.subgroup:
+def _subgroup_presentation(pres: Presentation, subgroup: Optional[List[Word]],
+                           max_cosets: int) -> Presentation:
+    if not subgroup:
         raise InputError("subpres needs --subgroup FILE (or a bundled "
                          "subgroup name with --preset)")
-    table = todd_coxeter(inputs.presentation, inputs.subgroup,
-                         max_cosets=max_cosets)
-    sub = schreier_system(table, inputs.presentation).presentation
+    table = todd_coxeter(pres, subgroup, max_cosets=max_cosets)
+    sub = schreier_system(table, pres).presentation
     return tietze_reduce(sub, budget=200000)
 
 
-def cmd_subpres(inputs: _Inputs, args) -> Tuple[str, int]:
-    reduced = _subgroup_presentation(inputs, args.max_cosets)
+def cmd_subpres(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
+    reduced = _subgroup_presentation(lattice.presentation, subgroup,
+                                     args.max_cosets)
     lines = ["generators: " + " ".join(reduced.gens)]
     lines.extend(format_word(r, reduced.gens) for r in reduced.relators)
     return "\n".join(lines) + "\n", EXIT_OK
@@ -276,20 +217,23 @@ def cmd_subpres(inputs: _Inputs, args) -> Tuple[str, int]:
 # ------------------------------------------------------------------ abelian / nq2
 
 
-def _target_presentation(inputs: _Inputs, max_cosets: int) -> Presentation:
-    if inputs.subgroup:
-        return _subgroup_presentation(inputs, max_cosets)
-    return inputs.presentation
+def _target_presentation(pres: Presentation, subgroup: Optional[List[Word]],
+                         max_cosets: int) -> Presentation:
+    if subgroup:
+        return _subgroup_presentation(pres, subgroup, max_cosets)
+    return pres
 
 
-def cmd_abelian(inputs: _Inputs, args) -> Tuple[str, int]:
-    pres = _target_presentation(inputs, args.max_cosets)
+def cmd_abelian(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
+    pres = _target_presentation(lattice.presentation, subgroup,
+                                args.max_cosets)
     inv = pres.abelianization()
     return f"abelianization: {inv.describe()}\n", EXIT_OK
 
 
-def cmd_nq2(inputs: _Inputs, args) -> Tuple[str, int]:
-    pres = _target_presentation(inputs, args.max_cosets)
+def cmd_nq2(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
+    pres = _target_presentation(lattice.presentation, subgroup,
+                                args.max_cosets)
     q = class2_quotient(pres)
     return (f"abelianization: {q.abelianization.describe()}\n"
             f"derived part: {q.derived_part.describe()}\n"), EXIT_OK
@@ -298,10 +242,9 @@ def cmd_nq2(inputs: _Inputs, args) -> Tuple[str, int]:
 # ------------------------------------------------------------------ certify
 
 
-def cmd_certify(inputs: _Inputs, args) -> Tuple[str, int]:
-    _require_matrices(inputs)
-    lifted = _lift(inputs, args.samples)
-    cert = rf_certificate(lifted, inputs.subgroup,
+def cmd_certify(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
+    _require_matrices(lattice)
+    cert = rf_certificate(lattice.lift(args.samples), subgroup,
                           max_cosets=args.max_cosets)
     return cert.report(), EXIT_OK if cert.success else EXIT_INCONCLUSIVE
 
@@ -360,12 +303,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   file=sys.stderr)
             return EXIT_INPUT
     try:
-        inputs = _load_inputs(args)
+        lattice, subgroup = _load_inputs(args)
     except (ValueError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        text, code = args.handler(inputs, args)
+        text, code = args.handler(lattice, subgroup, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -137,15 +137,6 @@ class CycloElt:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    @property
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
     def __bool__(self) -> bool:
         return not self.is_zero
 
@@ -237,12 +228,10 @@ class CycloElt:
             return None
         arg = mpmath.arg(self.embed(64).mid)
         a = int(mpmath.nint(arg * m / (2 * mpmath.pi))) % m
-        if self == zeta_power(m, a):
-            return (m, a)
-        for a in range(m):  # fallback scan; unreachable in practice
-            if self == zeta_power(m, a):
-                return (m, a)
-        return None
+        if self != zeta_power(m, a):
+            raise ArithmeticError(f"64-bit embedding misplaced {self!r} among "
+                                  f"the {m}-th roots of unity")
+        return (m, a)
 
     def embed(self, bits: int = 128) -> "ComplexInterval":
         return embed_complex(self, bits)
@@ -303,21 +292,6 @@ def zeta(n: int, k: int = 1) -> CycloElt:
 def zeta_power(m: int, a: int) -> CycloElt:
     """zeta_m^a at conductor m (m >= 1)."""
     return zeta(m, a % m) if m > 1 else CycloElt.one()
-
-
-def cyclo_add(a: CycloElt, b: CycloElt) -> CycloElt:
-    """Exact sum with conductor unification."""
-    return a + b
-
-
-def cyclo_mul(a: CycloElt, b: CycloElt) -> CycloElt:
-    """Exact product with conductor unification."""
-    return a * b
-
-
-def cyclo_inv(a: CycloElt) -> CycloElt:
-    """Exact multiplicative inverse; raises ZeroDivisionError on zero."""
-    return a.inv()
 
 
 class ComplexInterval:

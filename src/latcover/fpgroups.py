@@ -114,12 +114,6 @@ class Presentation:
     def ngens(self) -> int:
         return len(self.gens)
 
-    def gen_index(self, name: str) -> int:
-        try:
-            return self.gens.index(name)
-        except ValueError:
-            raise ValueError(f"unknown generator {name!r}") from None
-
     def word(self, text: str) -> Word:
         return parse_word(text, self.gens)
 
@@ -474,12 +468,6 @@ def schreier_system(table: CosetTable, pres: Presentation) -> SchreierSystem:
                 for rel in pres.relators]
     system.presentation = Presentation(names, relators)
     return system
-
-
-def schreier_presentation(table: CosetTable, pres: Presentation) -> Presentation:
-    """Presentation of the subgroup on Schreier generators; relator count is
-    index times the ambient relator count."""
-    return schreier_system(table, pres).presentation
 
 
 def tietze_reduce(pres: Presentation, budget: int = 20000,

@@ -256,11 +256,6 @@ def class2_quotient(pres: Presentation) -> NQ2:
     return NQ2(pres)
 
 
-def nq2_image(q: NQ2, word: Word) -> NQ2Image:
-    """Collected coordinates and exact order of a word's image in q."""
-    return q.image(word)
-
-
 def epsilon(base: Presentation, lifted: Presentation) -> int:
     """Growth of the derived part's free rank from the base group's class-2
     quotient to the lifted group's; a central Z-extension changes it by 0 or 1."""

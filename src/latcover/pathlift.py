@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactnum import CycloElt, zeta
 from .fpgroups import Presentation, Word
-from .su21 import GroupMatrix, Z0, unitarity_residual
+from .su21 import _H_STD, GroupMatrix, Z0, unitarity_residual
 
 TWO_PI = 2.0 * math.pi
 EXP_TOL = 1e-10
@@ -22,8 +21,8 @@ ARG_STEP_LIMIT = math.pi / 2
 SNAP_TOL = 0.05
 DEFAULT_SAMPLES_PER_LETTER = 256
 REFINE_BUDGET = 2 ** 16
-
-_H_STD = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
+# bound on len(word) * samples_per_letter, checked before any allocation
+MAX_PATH_SAMPLES = 2 ** 22
 
 # traceless anti-hermitian log of the central element zeta_3*Id; its
 # one-parameter path stays in SU(2,1) and its projection turns by +2*pi/3
@@ -67,6 +66,14 @@ def central_log(index: int = -1) -> GeneratorLog:
     """Log of the central element zeta_3*Id (the distinguished lift z)."""
     eye = np.eye(3, dtype=complex)
     return GeneratorLog(index, CENTRAL_THETA.copy(), eye, eye.copy())
+
+
+def generator_logs(numeric: Sequence[np.ndarray]) -> List[GeneratorLog]:
+    """Logs of standard-form generator matrices in order, followed by the
+    central log, which serves the letter z."""
+    logs = [elliptic_log(mat, index=i) for i, mat in enumerate(numeric)]
+    logs.append(central_log(index=len(logs)))
+    return logs
 
 
 def _h_inner(x: np.ndarray, y: np.ndarray) -> complex:
@@ -198,6 +205,11 @@ def relator_path(word: Word, logs: Sequence[GeneratorLog],
                  budget: int = REFINE_BUDGET) -> RelatorPath:
     """Sample the projected path of a word, refining each segment until
     consecutive samples turn by less than pi/2."""
+    nominal = len(word) * samples_per_letter
+    if nominal > MAX_PATH_SAMPLES:
+        raise ValueError(f"path needs {nominal} samples ({len(word)} letters "
+                         f"x {samples_per_letter}), over the limit of "
+                         f"{MAX_PATH_SAMPLES}")
     letters = list(reversed(word.letters()))  # rightmost letter acts first
     s_parts = [np.array([0.0])]
     value_parts = [np.array([1.0 + 0.0j])]
@@ -247,6 +259,10 @@ def winding_number(path: RelatorPath, open_path: bool = False):
         return turns
     if not path.is_closed:
         raise ValueError(f"path is not closed: endpoint {path.endpoint}")
+    return _snap(turns)
+
+
+def _snap(turns: float) -> int:
     nearest = round(turns)
     if abs(turns - nearest) > SNAP_TOL:
         raise ValueError(f"total turning {turns} is not within {SNAP_TOL} "
@@ -298,55 +314,38 @@ class LiftedPresentation:
         return f"LiftedPresentation({rels})"
 
 
-def _exact_central_power(product: GroupMatrix) -> int:
-    """j in {0,1,2} with product = (zeta_3^j)*Id exactly, else raises."""
-    for j in range(3):
-        if product == GroupMatrix.scalar(zeta(3) ** j, product.form):
-            return j
-    raise ValueError("relator does not evaluate to a central element")
-
-
-def lift_presentation(pres: Presentation, matrices: Mapping[str, GroupMatrix],
-                      standard_numerics: Optional[Mapping[str, np.ndarray]] = None,
+def lift_presentation(pres: Presentation, powers: Sequence[Optional[int]],
+                      numeric: Sequence[np.ndarray],
                       samples_per_letter: int = DEFAULT_SAMPLES_PER_LETTER,
                       ) -> LiftedPresentation:
     """Lift a presentation whose relators are exactly central to the
-    universal cover: compute each relator's central exponent from the exact
-    scalar value and the winding of the closed projected loop."""
-    exact = [matrices[name] for name in pres.gens]
-    if standard_numerics is None:
-        numeric = [m.numeric for m in exact]
-    else:
-        numeric = [np.asarray(standard_numerics[name]) for name in pres.gens]
+    universal cover.
+
+    powers[i] is relator i's exact value as a power j of zeta_3 (None if not
+    central) and numeric the standard-form generator matrices. Each relator
+    is sampled once: the closed loop z^-j * relator appends j central
+    segments that each turn by exactly -2*pi/3, so its winding is the open
+    path's turning minus j*2*pi/3.
+    """
     for name, mat in zip(pres.gens, numeric):
         residual = unitarity_residual(mat)
         if residual > 1e-8:
             raise ValueError(f"generator {name} is not numerically in "
                              f"SU(2,1): residual {residual:.3e}")
-    logs = [elliptic_log(mat, index=i) for i, mat in enumerate(numeric)]
-    logs.append(central_log(index=pres.ngens))
+    logs = generator_logs(numeric)
     zeta3 = cmath.exp(2j * math.pi / 3)
 
     exponents = []
-    for rel in pres.relators:
-        product = _word_product(rel, exact)
-        j = _exact_central_power(product)
-        open_path = relator_path(rel, logs, samples_per_letter)
-        if abs(open_path.endpoint - zeta3 ** j) > CLOSURE_TOL:
-            raise ValueError(f"numeric path endpoint {open_path.endpoint} "
+    for rel, j in zip(pres.relators, powers):
+        if j is None:
+            raise ValueError("relator does not evaluate to a central element")
+        path = relator_path(rel, logs, samples_per_letter)
+        if abs(path.endpoint - zeta3 ** j) > CLOSURE_TOL:
+            raise ValueError(f"numeric path endpoint {path.endpoint} "
                              f"disagrees with exact central value index {j}")
-        closed_word = Word.gen(pres.ngens, -j) * rel
-        loop = relator_path(closed_word, logs, samples_per_letter)
-        r = winding_number(loop)
+        r = _snap((path.total_argument() - j * TWO_PI / 3) / TWO_PI)
         exponents.append(-(j + 3 * r))
     return LiftedPresentation(pres, exponents)
-
-
-def _word_product(word: Word, matrices: Sequence[GroupMatrix]) -> GroupMatrix:
-    out = GroupMatrix.identity(matrices[0].form)
-    for g, e in word.syllables:
-        out = out * matrices[g] ** e
-    return out
 
 
 def normalize_lift(lp: LiftedPresentation) -> LiftedPresentation:

@@ -1,21 +1,23 @@
-"""Bundled lattice fixtures: load, determinant-scale, and exactly verify the
-relator values of the packaged triangle-group lattices."""
+"""Lattices: one loader for presentations with exact generator matrices,
+their relators' exact central values, and the bundled triangle-group
+fixtures with their self-checks."""
 
 from __future__ import annotations
 
 import os
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exactnum import zeta
 from .fpgroups import (Presentation, Word, braid_relator, parse_presentation,
                        format_word)
-from .pathlift import LiftedPresentation, lift_presentation, normalize_lift
-from .su21 import (GroupMatrix, HermitianForm, parse_matrix_file, scale_to_su,
-                   standard_form_conjugator)
+from .pathlift import (DEFAULT_SAMPLES_PER_LETTER, LiftedPresentation,
+                       lift_presentation, normalize_lift)
+from .su21 import (GroupMatrix, HermitianForm, check_unitary,
+                   parse_matrix_file, scale_to_su, standard_form_conjugator)
 
 _CANONICAL = {
     "dm-5-4-1-1-1-6": "dm-5-4-1-1-1-6",
@@ -67,28 +69,109 @@ def _single_power(word: Word, gen: int, what: str) -> int:
     return exp
 
 
-class LatticePreset:
-    """A packaged lattice: presentation, scaled exact matrices, and form."""
+def read_words(path: Path, presentation: Presentation) -> List[Word]:
+    """Words of a subgroup file, one per line; `#` starts a comment."""
+    words = []
+    for raw in path.read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            words.append(presentation.word(line))
+    return words
 
-    __slots__ = ("name", "label", "presentation", "matrices", "form",
-                 "scaled", "central", "orbifold_weights", "expected_powers",
-                 "standard_numerics", "_root")
 
-    def __init__(self, name: str, label: str, presentation: Presentation,
-                 matrices: Dict[str, GroupMatrix], form: HermitianForm,
-                 central: GroupMatrix, orbifold_weights: Tuple[int, int],
-                 expected_powers: Tuple[int, ...],
-                 standard_numerics: Optional[Dict[str, np.ndarray]], root):
-        self.name = name
-        self.label = label
+def central_power(word: Word, gens: Sequence[GroupMatrix],
+                  form: HermitianForm) -> Optional[int]:
+    """j in {0,1,2} with the exact product of word over gens equal to
+    zeta_3^j * Id, or None when the product is not such a central element."""
+    product = GroupMatrix.identity(form)
+    for g, e in word.syllables:
+        product = product * gens[g] ** e
+    for j in range(3):
+        if product == GroupMatrix.scalar(zeta(3) ** j, form):
+            return j
+    return None
+
+
+class Lattice:
+    """A presentation, optionally with exact generator matrices.
+
+    Matrices of any root-of-unity determinant are scaled into SU(2,1); for a
+    non-standard form their numerics are also conjugated to the standard
+    form, where path sampling works. Each relator's central power is
+    evaluated exactly once, on first use.
+    """
+
+    __slots__ = ("presentation", "form", "matrices", "standard_numerics",
+                 "_powers")
+
+    def __init__(self, presentation: Presentation,
+                 form: Optional[HermitianForm] = None,
+                 matrices: Optional[Mapping[str, GroupMatrix]] = None):
         self.presentation = presentation
-        self.matrices = matrices
         self.form = form
-        self.scaled = True
-        self.central = central
-        self.orbifold_weights = orbifold_weights
-        self.expected_powers = expected_powers
-        self.standard_numerics = standard_numerics
+        self.matrices: Optional[Dict[str, GroupMatrix]] = None
+        self.standard_numerics: Optional[Dict[str, np.ndarray]] = None
+        self._powers: Optional[List[Optional[int]]] = None
+        if matrices is None:
+            return
+        missing = [g for g in presentation.gens if g not in matrices]
+        if missing:
+            raise ValueError(f"matrix file lacks generators {missing}")
+        self.matrices = {g: scale_to_su(matrices[g]) for g in presentation.gens}
+        if not form.is_standard:
+            conj = standard_form_conjugator(form)
+            conj_inv = np.linalg.inv(conj)
+            self.standard_numerics = {g: conj @ m.numeric @ conj_inv
+                                      for g, m in self.matrices.items()}
+
+    def central_powers(self) -> List[Optional[int]]:
+        """Each relator's exact central power (see `central_power`)."""
+        if self._powers is None:
+            gens = [self.matrices[g] for g in self.presentation.gens]
+            self._powers = [central_power(rel, gens, self.form)
+                            for rel in self.presentation.relators]
+        return self._powers
+
+    def numerics(self) -> List[np.ndarray]:
+        """Standard-form numeric generator matrices, in generator order."""
+        if self.standard_numerics is not None:
+            return [self.standard_numerics[g] for g in self.presentation.gens]
+        return [self.matrices[g].numeric for g in self.presentation.gens]
+
+    def lift(self, samples_per_letter: int = DEFAULT_SAMPLES_PER_LETTER,
+             normalized: bool = True) -> LiftedPresentation:
+        """Lift to the universal cover; canonical generator gauge by default."""
+        lifted = lift_presentation(self.presentation, self.central_powers(),
+                                   self.numerics(), samples_per_letter)
+        return normalize_lift(lifted) if normalized else lifted
+
+
+def file_lattice(pres_path: Path, matrices_path: Optional[Path] = None
+                 ) -> Lattice:
+    """Load a presentation file and, optionally, a matrix file whose
+    matrices must be exactly unitary for the declared form."""
+    presentation = parse_presentation(Path(pres_path).read_text())
+    if not matrices_path:
+        return Lattice(presentation)
+    form, raw = parse_matrix_file(Path(matrices_path).read_text())
+    lattice = Lattice(presentation, form, raw)
+    for name, mat in lattice.matrices.items():
+        if not check_unitary(mat):
+            raise ValueError(f"matrix {name} is not unitary for the "
+                             f"declared form")
+    return lattice
+
+
+class LatticePreset(Lattice):
+    """A packaged lattice with its name, weight label and fixture directory."""
+
+    __slots__ = ("name", "label", "_root")
+
+    def __init__(self, name: str, root, presentation: Presentation,
+                 form: HermitianForm, matrices: Mapping[str, GroupMatrix]):
+        super().__init__(presentation, form, matrices)
+        self.name = name
+        self.label = _LABELS.get(name, name)
         self._root = root
 
     def subgroup_names(self) -> List[str]:
@@ -107,49 +190,23 @@ class LatticePreset:
             raise FileNotFoundError(
                 f"no subgroup fixture {name!r} for preset {self.name} "
                 f"(available: {known})")
-        words = []
-        for raw in path.read_text().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                words.append(self.presentation.word(line))
-        return words
-
-    def lift(self, samples_per_letter: int = 256,
-             normalized: bool = True) -> LiftedPresentation:
-        """Lift to the universal cover; canonical generator gauge by default."""
-        lifted = lift_presentation(self.presentation, self.matrices,
-                                   standard_numerics=self.standard_numerics,
-                                   samples_per_letter=samples_per_letter)
-        return normalize_lift(lifted) if normalized else lifted
+        return read_words(path, self.presentation)
 
     def __repr__(self) -> str:
         return f"LatticePreset({self.name!r}, weights {self.label})"
 
 
-def _central_exponent(value: GroupMatrix, central: GroupMatrix,
-                      order: int = 3) -> Optional[int]:
-    for j in range(order):
-        if value == central ** j:
-            return j
-    return None
-
-
 def verify_preset(preset: LatticePreset) -> List[Tuple[str, int]]:
-    """Exactly evaluate every relator on the scaled matrices.
+    """Check every relator's exact value on the scaled matrices.
 
     Returns (relator, j) pairs with relator value = zhat^j; raises if any
     value is not a power of the central element or disagrees with the
-    preset's expected powers.
+    expected powers.
     """
-    gens = [preset.matrices[name] for name in preset.presentation.gens]
     results: List[Tuple[str, int]] = []
-    for rel, expected in zip(preset.presentation.relators,
-                             preset.expected_powers):
-        value = GroupMatrix.identity(preset.form)
-        for g, e in rel.syllables:
-            value = value * gens[g] ** e
+    for rel, j, expected in zip(preset.presentation.relators,
+                                preset.central_powers(), EXPECTED_POWERS):
         text = format_word(rel, preset.presentation.gens)
-        j = _central_exponent(value, preset.central)
         if j is None:
             raise ValueError(f"relator {text} does not evaluate to a central "
                              f"power in preset {preset.name}")
@@ -193,24 +250,9 @@ def dm_lattice(preset_id: str) -> LatticePreset:
 
     form, unscaled = parse_matrix_file((root / "matrices.txt").read_text())
     _load_form_file((root / "form.txt").read_text(), form, name)
-    missing = [g for g in presentation.gens if g not in unscaled]
-    extra = [g for g in unscaled if g not in presentation.gens]
-    if missing or extra:
+    if sorted(unscaled) != sorted(presentation.gens):
         raise ValueError(f"preset {name}: matrix names {sorted(unscaled)} do "
                          f"not match generators {presentation.gens}")
-
-    matrices = {g: scale_to_su(unscaled[g]) for g in presentation.gens}
-    central = GroupMatrix.scalar(zeta(3), form)
-
-    standard_numerics = None
-    if not form.is_standard:
-        conj = standard_form_conjugator(form)
-        conj_inv = np.linalg.inv(conj)
-        standard_numerics = {g: conj @ matrices[g].numeric @ conj_inv
-                             for g in presentation.gens}
-
-    preset = LatticePreset(name, _LABELS.get(name, name), presentation,
-                           matrices, form, central, (r1, r2),
-                           EXPECTED_POWERS, standard_numerics, root)
+    preset = LatticePreset(name, root, presentation, form, unscaled)
     verify_preset(preset)
     return preset

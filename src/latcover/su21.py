@@ -14,7 +14,6 @@ import numpy as np
 from .exactnum import CycloElt, parse_cyclo, to_literal, zeta_power
 
 DEFAULT_EMBED_BITS = 96
-RECONSTRUCTION_TOL = 1e-10
 UNITARY_TOL = 1e-8
 NONVANISHING_TOL = 1e-8
 
@@ -145,10 +144,6 @@ class GroupMatrix:
         return GroupMatrix(form, exact=((value, zero, zero),
                                         (zero, value, zero),
                                         (zero, zero, value)))
-
-    @property
-    def has_exact(self) -> bool:
-        return self.exact is not None
 
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
         if self.form is not other.form and self.form != other.form:

@@ -2,6 +2,7 @@
 
 from latcover.exactnum import CycloElt, zeta
 from latcover.fpgroups import Presentation, Word, braid_relator
+from latcover.presets import Lattice
 from latcover.su21 import GroupMatrix, HermitianForm, scale_to_su
 
 
@@ -56,6 +57,7 @@ def picard_presentation(v_order: int = 6) -> Presentation:
     ])
 
 
-def picard_matrix_map():
-    _, b, u, v = picard_scaled()
-    return {"b": b, "u": u, "v": v}
+def picard_lattice(pres: Presentation) -> Lattice:
+    """The (5,4,1,1,1)/6 generator matrices attached to a presentation on b, u, v."""
+    form, b0, u0, v0 = picard_unscaled()
+    return Lattice(pres, form, {"b": b0, "u": u0, "v": v0})

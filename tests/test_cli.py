@@ -46,19 +46,47 @@ def test_lift_accepts_weight_labels(capsys):
     assert out == LIFT1_EXPECTED
 
 
-def test_lift_from_files_matches_preset(capsys, preset1_dir):
+@pytest.mark.parametrize("preset, expected", [
+    (PRESET1, LIFT1_EXPECTED),
+    # a custom form: the file path conjugates to the standard form too
+    (PRESET2, LIFT1_EXPECTED.replace("v^6*z", "v^4*z")),
+], ids=[PRESET1, PRESET2])
+def test_lift_from_files_matches_preset(capsys, preset, expected):
+    directory = _presets_root() / preset
     rc, out, _ = run(capsys, "lift",
-                     "--pres", str(preset1_dir / "presentation.txt"),
-                     "--matrices", str(preset1_dir / "matrices.txt"))
+                     "--pres", str(directory / "presentation.txt"),
+                     "--matrices", str(directory / "matrices.txt"))
     assert rc == 0
-    assert out == LIFT1_EXPECTED
+    assert out == expected
+
+
+def test_lift_and_verify_evaluate_each_relator_once(capsys, monkeypatch):
+    import latcover.presets as presets
+    evaluated = []
+    original = presets.central_power
+
+    def counting(word, *args):
+        evaluated.append(word)
+        return original(word, *args)
+
+    monkeypatch.setattr(presets, "central_power", counting)
+    relators = presets.dm_lattice(PRESET1).presentation.relators
+    for command in ("lift", "verify"):
+        evaluated.clear()
+        rc, _, _ = run(capsys, command, "--preset", PRESET1)
+        assert rc == 0
+        assert evaluated == relators
+
+
+def _presets_root():
+    import latcover.presets as presets
+    from pathlib import Path
+    return Path(str(presets._presets_root()))
 
 
 @pytest.fixture(scope="module")
 def preset1_dir():
-    import latcover.presets as presets
-    from pathlib import Path
-    return Path(str(presets._presets_root())) / PRESET1
+    return _presets_root() / PRESET1
 
 
 def test_winding_b9_is_minus_one(capsys):
@@ -114,6 +142,14 @@ def test_winding_svg(capsys, tmp_path):
     assert "<polyline" in text
     assert "<circle" in text
     assert out.splitlines()[0] == "winding: -1"
+
+
+def test_winding_svg_into_missing_directory_exits_2(capsys, tmp_path):
+    rc, out, err = run(capsys, "winding", "--preset", PRESET1, "--word",
+                       "b^9", "--svg", str(tmp_path / "missing" / "x.svg"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_winding_deterministic_bytes(capsys):
@@ -256,6 +292,16 @@ def test_enumeration_limit_exits_3(capsys):
     assert rc == 3
     assert out == ""
     assert "limit" in err
+
+
+@pytest.mark.parametrize("word, samples", [("b^1000000000", "256"),
+                                           ("b^9", "1000000000")])
+def test_oversized_path_exits_3_before_sampling(capsys, word, samples):
+    rc, out, err = run(capsys, "winding", "--preset", PRESET1,
+                       "--word", word, "--samples", samples)
+    assert rc == 3
+    assert out == ""
+    assert "over the limit" in err
 
 
 def test_nonpositive_samples_exits_2(capsys):

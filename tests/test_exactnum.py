@@ -9,9 +9,6 @@ from hypothesis import given, settings, strategies as st
 from latcover.exactnum import (
     ComplexInterval,
     CycloElt,
-    cyclo_add,
-    cyclo_inv,
-    cyclo_mul,
     cyclotomic_polynomial,
     embed_complex,
     euler_phi,
@@ -31,49 +28,49 @@ def test_cyclotomic_polynomials():
 
 
 def test_add_identity():
-    assert cyclo_add(zeta(6), CycloElt.zero(6)) == zeta(6)
+    assert zeta(6) + CycloElt.zero(6) == zeta(6)
 
 
 def test_add_minimal_polynomial_relation():
-    assert cyclo_add(zeta(3), zeta(3, 2)) == -1
+    assert zeta(3) + zeta(3, 2) == -1
 
 
 def test_add_inverse():
     sqrt_m3 = 2 * zeta(6) - 1
-    assert cyclo_add(sqrt_m3, 1 - 2 * zeta(6)).is_zero
+    assert (sqrt_m3 + (1 - 2 * zeta(6))).is_zero
 
 
 def test_mul_root_of_unity_pair():
-    assert cyclo_mul(zeta(6), zeta(6, 5)) == 1
+    assert zeta(6) * zeta(6, 5) == 1
 
 
 def test_mul_sqrt_minus_three_squares():
     sqrt_m3 = 2 * zeta(6) - 1
-    assert cyclo_mul(sqrt_m3, sqrt_m3) == -3
+    assert sqrt_m3 * sqrt_m3 == -3
 
 
 def test_mul_zeta12_cubed_squared():
-    assert cyclo_mul(zeta(12, 3), zeta(12, 3)) == -1
+    assert zeta(12, 3) * zeta(12, 3) == -1
 
 
 def test_inv_one():
-    assert cyclo_inv(CycloElt.one()) == 1
+    assert CycloElt.one().inv() == 1
 
 
 def test_inv_root_of_unity():
-    assert cyclo_inv(zeta(3)) == zeta(3, 2)
+    assert zeta(3).inv() == zeta(3, 2)
 
 
 def test_inv_sqrt_minus_three():
     sqrt_m3 = 2 * zeta(6) - 1
     expected = (1 - 2 * zeta(6)) / 3
-    assert cyclo_inv(sqrt_m3) == expected
-    assert sqrt_m3 * cyclo_inv(sqrt_m3) == 1
+    assert sqrt_m3.inv() == expected
+    assert sqrt_m3 * sqrt_m3.inv() == 1
 
 
 def test_inv_zero_signals():
     with pytest.raises(ZeroDivisionError):
-        cyclo_inv(CycloElt.zero(6))
+        CycloElt.zero(6).inv()
 
 
 def test_embed_one():

@@ -13,7 +13,6 @@ from latcover.fpgroups import (
     parse_presentation,
     parse_word,
     preimage_subgroup,
-    schreier_presentation,
     schreier_system,
     serialize_presentation,
     tietze_reduce,
@@ -193,7 +192,7 @@ def test_index_two_of_cyclic_four():
     pres = parse_presentation("generators: a\na^4\n")
     table = todd_coxeter(pres, [Word([(0, 2)])])
     assert table.index == 2
-    sub = schreier_presentation(table, pres)
+    sub = schreier_system(table, pres).presentation
     assert len(sub.relators) == 2 * 1
     inv = sub.abelianization()
     assert inv.free_rank == 0
@@ -206,7 +205,7 @@ def test_free_kernel_rank_three():
     even = [a * a, a * b, b * a]
     table = todd_coxeter(free, even)
     assert table.index == 2
-    sub = schreier_presentation(table, free)
+    sub = schreier_system(table, free).presentation
     assert sub.ngens == 2 * (2 - 1) + 1 == 3
     assert sub.relators == []
 
@@ -385,7 +384,7 @@ def test_free_subgroup_enumeration_matches_permutation_orbit(case):
     table = todd_coxeter(free, words)
     assert table.index == len(orbit)
     assert table.validates(free, words)
-    sub = schreier_presentation(table, free)
+    sub = schreier_system(table, free).presentation
     assert sub.ngens == table.index * (nperm - 1) + 1
     assert sub.relators == []
 
@@ -440,7 +439,7 @@ def test_schreier_abelianization_of_cyclic_subgroup(n, d):
     table = todd_coxeter(pres, [Word([(0, d)])])
     g = math.gcd(n, d)
     assert table.index == g
-    sub = schreier_presentation(table, pres)
+    sub = schreier_system(table, pres).presentation
     inv = sub.abelianization()
     order = n // g
     assert inv.free_rank == 0

@@ -11,11 +11,11 @@ from latcover.fpgroups import (Presentation, Word, parse_presentation,
                                schreier_system, todd_coxeter)
 from latcover.intlinalg import AbelianInvariants
 from latcover.nq2 import (Certificate, ClassTwoElement, NQ2Image,
-                          class2_quotient, epsilon, nq2_image, rf_certificate,
+                          class2_quotient, epsilon, rf_certificate,
                           wedge_offsets, wedge_size)
-from latcover.pathlift import LiftedPresentation, lift_presentation
+from latcover.pathlift import LiftedPresentation
 
-from helpers_latcover import picard_matrix_map, picard_presentation
+from helpers_latcover import picard_lattice, picard_presentation
 
 
 def words(n, max_syllables=6, max_exp=3):
@@ -136,30 +136,30 @@ def test_relation_rows_shape():
 
 def test_identity_image_order_one():
     q = class2_quotient(Presentation(["a", "b"], []))
-    img = nq2_image(q, Word())
+    img = q.image(Word())
     assert img == NQ2Image((0, 0), (0,), 1)
     assert not img.is_infinite
 
 
 def test_free_commutator_has_infinite_order():
     q = class2_quotient(Presentation(["a", "b"], []))
-    img = nq2_image(q, Word([(0, -1), (1, -1), (0, 1), (1, 1)]))
+    img = q.image(Word([(0, -1), (1, -1), (0, 1), (1, 1)]))
     assert img.a == (0, 0) and img.m == (1,)
     assert img.order is None and img.is_infinite
 
 
 def test_heisenberg_mod_three_orders():
     q = class2_quotient(_heisenberg_presentation(3))
-    assert nq2_image(q, Word.gen(0)).order == 3
-    assert nq2_image(q, Word.gen(0) * Word.gen(1)).order == 3
+    assert q.image(Word.gen(0)).order == 3
+    assert q.image(Word.gen(0) * Word.gen(1)).order == 3
     commutator = Word([(0, -1), (1, -1), (0, 1), (1, 1)])
-    assert nq2_image(q, commutator).order == 3
+    assert q.image(commutator).order == 3
 
 
 def test_infinite_order_in_abelianization():
     pres = parse_presentation("generators: a b\na^2*b^-3\n")
     q = class2_quotient(pres)
-    assert nq2_image(q, Word.gen(0)).order is None
+    assert q.image(Word.gen(0)).order is None
     assert q.abelian_order([1, 0]) is None
 
 
@@ -458,21 +458,21 @@ def test_invariants_match_enumeration_on_random_finite_groups():
 # --------------------------------------------------- lifted presentations
 
 def test_lifted_relators_and_centrality():
-    lp = lift_presentation(picard_presentation(6), picard_matrix_map())
+    lp = picard_lattice(picard_presentation(6)).lift(normalized=False)
     lifted = lp.to_presentation()
     q = class2_quotient(lifted)
     for rel in lifted.relators:
-        assert nq2_image(q, rel).order == 1
+        assert q.image(rel).order == 1
     z = Word.gen(lifted.ngens - 1)
     for g in range(lifted.ngens - 1):
         gw = Word.gen(g)
         commutator = z.inv() * gw.inv() * z * gw
-        assert nq2_image(q, commutator).order == 1
-        assert nq2_image(q, (z ** 2).inv() * gw.inv() * z ** 2 * gw).order == 1
+        assert q.image(commutator).order == 1
+        assert q.image((z ** 2).inv() * gw.inv() * z ** 2 * gw).order == 1
 
 
 def test_whole_group_certificate_is_inconclusive_for_picard():
-    lp = lift_presentation(picard_presentation(6), picard_matrix_map())
+    lp = picard_lattice(picard_presentation(6)).lift(normalized=False)
     cert = rf_certificate(lp)
     assert cert.verdict == "INCONCLUSIVE"
     assert cert.z_image.order == 1
@@ -488,7 +488,7 @@ def test_z_order_is_regauge_invariant():
     for lp in (raw, normalized):
         lifted = lp.to_presentation()
         q = class2_quotient(lifted)
-        orders.append(nq2_image(q, Word.gen(lifted.ngens - 1)).order)
+        orders.append(q.image(Word.gen(lifted.ngens - 1)).order)
     assert orders[0] == orders[1]
 
 

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers_latcover import picard_matrix_map, picard_presentation, picard_scaled
+from helpers_latcover import picard_lattice, picard_presentation, picard_scaled
 from latcover.exactnum import zeta
 from latcover.fpgroups import Presentation, Word, braid_relator
 from latcover.pathlift import (
@@ -15,11 +15,11 @@ from latcover.pathlift import (
     RelatorPath,
     central_log,
     elliptic_log,
-    lift_presentation,
     normalize_lift,
     relator_path,
     winding_number,
 )
+from latcover.presets import Lattice
 from latcover.su21 import GroupMatrix, HermitianForm, IwasawaCoords
 
 H = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
@@ -229,7 +229,8 @@ def test_winding_additivity_and_conjugation_on_random_words():
 def test_lift_toy_central_generator():
     form = HermitianForm.standard()
     pres = Presentation(["a"], [Word.gen(0) ** 3])
-    lifted = lift_presentation(pres, {"a": GroupMatrix.scalar(zeta(3), form)})
+    lattice = Lattice(pres, form, {"a": GroupMatrix.scalar(zeta(3), form)})
+    lifted = lattice.lift(normalized=False)
     assert lifted.exponents == [-3]
     normalized = normalize_lift(lifted)
     assert normalized.exponents == [0]
@@ -237,7 +238,7 @@ def test_lift_toy_central_generator():
 
 def test_lift_picard_presentation():
     pres = picard_presentation(6)
-    lifted = lift_presentation(pres, picard_matrix_map())
+    lifted = picard_lattice(pres).lift(normalized=False)
     # hand-integrated anchors: the b-cube loop closes after two central
     # corrections with one clockwise turn; the v-sixth loop with one
     # counterclockwise turn
@@ -248,11 +249,25 @@ def test_lift_picard_presentation():
     assert normalized.center_power == 3
 
 
+def test_lift_samples_each_relator_once(monkeypatch):
+    import latcover.pathlift as pathlift
+    sampled = []
+    original = pathlift.relator_path
+
+    def counting(word, *args, **kwargs):
+        sampled.append(word)
+        return original(word, *args, **kwargs)
+
+    monkeypatch.setattr(pathlift, "relator_path", counting)
+    pres = picard_presentation(6)
+    assert picard_lattice(pres).lift().exponents == [1, 1, 1, 0, 0, 0, 3]
+    assert sampled == pres.relators
+
+
 def test_lift_rejects_noncentral_relator():
-    form, b, u, v = picard_scaled()
     bad = Presentation(["b", "u", "v"], [Word.gen(0)])
     with pytest.raises(ValueError, match="central"):
-        lift_presentation(bad, picard_matrix_map())
+        picard_lattice(bad).lift()
 
 
 def test_lifted_presentation_to_presentation():

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from latcover.exactnum import CycloElt, zeta
-from latcover.presets import (EXPECTED_POWERS, dm_lattice, preset_ids,
-                              verify_preset)
+from latcover.exactnum import CycloElt
+from latcover.fpgroups import Word
+from latcover.presets import (EXPECTED_POWERS, central_power, dm_lattice,
+                              preset_ids, verify_preset)
 from latcover.su21 import check_unitary, unitarity_residual
 
 
@@ -37,21 +38,21 @@ def test_unknown_preset_rejected():
 
 def test_first_preset_shape(first):
     assert first.presentation.gens == ["b", "u", "v"]
-    assert first.orbifold_weights == (3, 6)
+    assert first.presentation.relators[0].syllables == ((0, 3),)
+    assert first.presentation.relators[2].syllables == ((2, 6),)
     assert first.form.is_standard
     assert first.standard_numerics is None
-    assert first.scaled
     one = CycloElt.one()
     for name in ("b", "u", "v"):
         g = first.matrices[name]
         assert g.det() == one
         assert check_unitary(g)
-    assert first.central.exact[0][0] == zeta(3)
 
 
 def test_second_preset_shape(second):
     assert second.presentation.gens == ["b", "u", "v"]
-    assert second.orbifold_weights == (3, 4)
+    assert second.presentation.relators[0].syllables == ((0, 3),)
+    assert second.presentation.relators[2].syllables == ((2, 4),)
     assert not second.form.is_standard
     one = CycloElt.one()
     for name in ("b", "u", "v"):
@@ -64,6 +65,15 @@ def test_second_preset_standard_numerics(second):
     assert sorted(second.standard_numerics) == ["b", "u", "v"]
     for mat in second.standard_numerics.values():
         assert unitarity_residual(mat) < 1e-9
+
+
+def test_central_power_of_generator_powers(first):
+    gens = [first.matrices[g] for g in first.presentation.gens]
+    b = Word.gen(0)
+    assert central_power(b ** 3, gens, first.form) == 2
+    assert central_power(b ** 6, gens, first.form) == 1
+    assert central_power(b ** -9, gens, first.form) == 0
+    assert central_power(b, gens, first.form) is None
 
 
 def test_verify_powers_first(first):

@@ -17,8 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from latcover.fpgroups import (EnumerationLimit, Word, format_word,
-                               schreier_presentation, tietze_reduce,
-                               todd_coxeter)
+                               schreier_system, tietze_reduce, todd_coxeter)
 from latcover.nq2 import class2_quotient
 from latcover.presets import dm_lattice
 
@@ -204,7 +203,7 @@ def main():
         small = prune(pres, words)
         table = todd_coxeter(pres, small, max_cosets=200000)
         normal = table.fixes_all_cosets(small)
-        sub = schreier_presentation(table, pres)
+        sub = schreier_system(table, pres).presentation
         reduced = tietze_reduce(sub, budget=200000)
         q = class2_quotient(reduced)
         print(f"kernel {n}: generators {len(small)}, index {table.index}, "
