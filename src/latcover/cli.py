@@ -21,7 +21,8 @@ from .fpgroups import (EnumerationLimit, Presentation, Word, format_word,
                        parse_word, schreier_system, tietze_reduce,
                        todd_coxeter)
 from .nq2 import class2_quotient, rf_certificate
-from .pathlift import generator_logs, relator_path, winding_number
+from .pathlift import (LiftedPresentation, generator_logs, relator_path,
+                       winding_number)
 from .presets import (Lattice, LatticePreset, dm_lattice, file_lattice,
                       preset_ids, read_words, verify_preset)
 from .su21 import GroupMatrix
@@ -66,12 +67,18 @@ def _require_matrices(lattice: Lattice) -> None:
                          "--preset ID or --pres FILE with --matrices FILE")
 
 
+def _lift(lattice: Lattice, samples: int) -> LiftedPresentation:
+    _require_matrices(lattice)
+    if "z" in lattice.presentation.gens:
+        raise InputError("central generator name 'z' collides")
+    return lattice.lift(samples)
+
+
 # ------------------------------------------------------------------ lift
 
 
 def cmd_lift(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
-    _require_matrices(lattice)
-    lifted = lattice.lift(args.samples)
+    lifted = _lift(lattice, args.samples)
     pres = lattice.presentation
     names = pres.gens + [lifted.z_name]
     z = len(pres.gens)
@@ -243,8 +250,7 @@ def cmd_nq2(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
 
 
 def cmd_certify(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
-    _require_matrices(lattice)
-    cert = rf_certificate(lattice.lift(args.samples), subgroup,
+    cert = rf_certificate(_lift(lattice, args.samples), subgroup,
                           max_cosets=args.max_cosets)
     return cert.report(), EXIT_OK if cert.success else EXIT_INCONCLUSIVE
 

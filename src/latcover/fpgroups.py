@@ -471,16 +471,17 @@ def schreier_system(table: CosetTable, pres: Presentation) -> SchreierSystem:
 
 
 def tietze_reduce(pres: Presentation, budget: int = 20000,
-                  tracked: Optional[List[Word]] = None):
+                  central: Optional[Sequence[int]] = None):
     """Simplify a presentation by generator elimination and relator
     substitution; group isomorphism type is preserved.
 
-    Returns the reduced Presentation, or (Presentation, rewritten tracked
-    words) when tracked words are supplied.
+    With central exponents given, relator i stands for relator_i * z^k_i
+    with z central and outside the generators; every move carries the
+    exponents along, and the result is (Presentation, exponents).
     """
     gens = list(pres.gens)
     relators = [r.cyclically_reduced() for r in pres.relators]
-    tracked_words = list(tracked) if tracked is not None else []
+    exps = [0] * len(relators) if central is None else list(central)
     steps = 0
 
     def substitute(word: Word, gen: int, repl: Word) -> Word:
@@ -497,23 +498,25 @@ def tietze_reduce(pres: Presentation, budget: int = 20000,
         return Word(out)
 
     def cleanup():
-        nonlocal relators
+        # an empty word with k != 0 is the relator z^k; (w, k) and
+        # (w^-1, -k) are the same relator
+        nonlocal relators, exps
         seen = set()
         cleaned = []
-        for r in relators:
+        for r, k in zip(relators, exps):
             r = r.cyclically_reduced()
-            if r.is_identity:
+            if r.is_identity and not k:
                 continue
-            key = r.syllables
-            inv_key = r.inv().syllables
-            if key in seen or inv_key in seen:
+            key = (r.syllables, k)
+            if key in seen or (r.inv().syllables, -k) in seen:
                 continue
             seen.add(key)
-            cleaned.append(r)
-        relators = cleaned
+            cleaned.append((r, k))
+        relators = [r for r, _ in cleaned]
+        exps = [k for _, k in cleaned]
 
     def try_eliminate() -> bool:
-        nonlocal gens, relators, tracked_words, steps
+        nonlocal gens, relators, exps, steps
         best = None
         for ri, rel in enumerate(relators):
             counts: Dict[int, int] = {}
@@ -527,22 +530,20 @@ def tietze_reduce(pres: Presentation, budget: int = 20000,
         if best is None:
             return False
         _, gen, ri = best
-        rel = relators[ri]
+        rel, k = relators.pop(ri), exps.pop(ri)
         # rotate the single occurrence of gen to the front
         syl = list(rel.syllables)
         pos = next(i for i, (g, _) in enumerate(syl) if g == gen)
         rotated = Word(syl[pos:] + syl[:pos])
         head_gen, head_exp = rotated.syllables[0]
         tail = Word(rotated.syllables[1:])
-        # rotated = gen^(+-1) * tail = 1  =>  gen = tail.inv() ** sign
-        repl = tail.inv() if head_exp == 1 else tail
-        del relators[ri]
+        # gen^(+-1) * tail * z^k = 1  =>  gen = tail^-1 z^-k, or tail z^k
+        repl, shift = (tail.inv(), -k) if head_exp == 1 else (tail, k)
+        exps = [e + shift * r.exponent_sum(gen) for r, e in zip(relators, exps)]
         relators = [substitute(r, gen, repl) for r in relators]
-        tracked_words = [substitute(w, gen, repl) for w in tracked_words]
         index_map = {g: (g if g < gen else g - 1) for g in range(len(gens)) if g != gen}
         gens = [n for i, n in enumerate(gens) if i != gen]
         relators = [r.remap(index_map) for r in relators]
-        tracked_words = [w.remap(index_map) for w in tracked_words]
         steps += 1
         return True
 
@@ -556,7 +557,7 @@ def tietze_reduce(pres: Presentation, budget: int = 20000,
         improved = False
         order = sorted(range(len(relators)), key=lambda i: len(relators[i]))
         for si in order:
-            short = relators[si]
+            short, short_exp = relators[si], exps[si]
             ls = len(short)
             if ls < 2 or ls > 40:
                 continue
@@ -597,13 +598,15 @@ def tietze_reduce(pres: Presentation, budget: int = 20000,
                 dbl = next(d for l, d in doubles if l == lab)
                 # the matched chunk equals a rotation prefix of the short
                 # relator, so it also equals the inverse of that rotation's
-                # suffix; swap it in and keep the result if shorter
+                # suffix times z^(-lab*short_exp); swap it in and keep the
+                # result if shorter
                 variant = dbl[start:start + ls]
                 suffix = Word(variant[run:])
                 rest = [long_letters[(lstart + k) % n] for k in range(run, n)]
                 new_long = (suffix.inv() * Word(rest)).cyclically_reduced()
                 if len(new_long) < len(long):
                     relators[li] = new_long
+                    exps[li] -= lab * short_exp
                     steps += 1
                     improved = True
         return improved
@@ -619,17 +622,4 @@ def tietze_reduce(pres: Presentation, budget: int = 20000,
         break
 
     reduced = Presentation(gens, relators)
-    if tracked is None:
-        return reduced
-    return reduced, tracked_words
-
-
-def preimage_subgroup(lifted_pres: Presentation, base_subgroup: Sequence[Word],
-                      central_gen: Optional[int] = None) -> List[Word]:
-    """Generators of the full preimage of a base subgroup in a central
-    extension: the base words reread verbatim plus the central generator."""
-    if central_gen is None:
-        central_gen = lifted_pres.ngens - 1
-    out = list(base_subgroup)
-    out.append(Word.gen(central_gen))
-    return out
+    return reduced if central is None else (reduced, exps)

@@ -400,30 +400,3 @@ def solve_in_rowspace(target: Sequence[int], h: IntMatrix, u: IntMatrix) -> Opti
             for j, uij in enumerate(u.data[i]):
                 out[j] += yi * uij
     return out
-
-
-def det(m) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    a = _coerce_rows(m)
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

@@ -7,12 +7,16 @@ from __future__ import annotations
 import hashlib
 from typing import List, Optional, Sequence, Tuple
 
-from .fpgroups import (Presentation, Word, format_word, preimage_subgroup,
-                       schreier_system, serialize_presentation, tietze_reduce,
-                       todd_coxeter)
+from .fpgroups import (Presentation, Word, format_word, schreier_system,
+                       serialize_presentation, tietze_reduce, todd_coxeter)
 from .intlinalg import (IntMatrix, hnf, hnf_basis, in_rowspace,
                         quotient_invariants, saturation_order,
                         solve_in_rowspace)
+
+
+# Largest wedge coordinate count NQ2 accepts (50 generators): its center
+# lattice has up to n^2 rows of this width.
+MAX_WEDGE_SIZE = 1225
 
 
 def wedge_size(n: int) -> int:
@@ -176,6 +180,10 @@ class NQ2:
 
     def __init__(self, pres: Presentation):
         n = pres.ngens
+        if wedge_size(n) > MAX_WEDGE_SIZE:
+            raise ValueError(f"class-2 quotient on {n} generators needs "
+                             f"{wedge_size(n)} wedge coordinates, over the "
+                             f"limit {MAX_WEDGE_SIZE}")
         self.n = n
         self.relator_images = tuple(ClassTwoElement.from_word(n, rel)
                                     for rel in pres.relators)
@@ -328,39 +336,50 @@ class Certificate:
         return f"Certificate(index={self.index}, verdict={self.verdict})"
 
 
+def preimage_presentation(lp, subgroup_words: Sequence[Word],
+                          max_cosets: int = 10 ** 6,
+                          tietze_budget: int = 200000
+                          ) -> Tuple[int, Presentation]:
+    """Index and presentation of the full preimage, in the lifted group, of
+    the subgroup generated by words over the base generators.
+
+    Since z is central and every lifted relator is r * z^k, the preimage is
+    the base subgroup's Reidemeister-Schreier presentation with each
+    rewritten relator carrying its relator's z-power, plus z central; z is
+    the last generator.
+    """
+    table = todd_coxeter(lp.base, subgroup_words, max_cosets=max_cosets)
+    system = schreier_system(table, lp.base)
+    # schreier_system lists the rewritten relators coset by coset
+    reduced, exps = tietze_reduce(system.presentation, budget=tietze_budget,
+                                  central=lp.exponents * table.index)
+    zi = reduced.ngens
+    z = Word.gen(zi)
+    relators = [w * Word.gen(zi, k) for w, k in zip(reduced.relators, exps)]
+    relators += [Word.gen(g) * z * Word.gen(g, -1) * z.inv()
+                 for g in range(zi)]
+    return table.index, Presentation(reduced.gens + [lp.z_name], relators)
+
+
 def rf_certificate(lp, subgroup_words: Optional[Sequence[Word]] = None,
                    max_cosets: int = 10 ** 6,
                    tietze_budget: int = 200000) -> Certificate:
     """Test the central generator's order in the class-2 quotient of the
     whole lifted group (subgroup_words None) or of the full preimage of a
     finite-index subgroup given by words over the base generators."""
-    lifted = lp.to_presentation()
-    z_index = lifted.ngens - 1
-    payload = serialize_presentation(lifted)
-    if subgroup_words is not None:
-        payload += "".join(f"\n{format_word(w, lp.base.gens)}"
-                           for w in subgroup_words)
+    payload = serialize_presentation(lp.to_presentation())
+    subgroup = None
+    if subgroup_words is None:
+        subgroup_words = [Word.gen(g) for g in range(lp.base.ngens)]
+    else:
+        subgroup = tuple(format_word(w, lp.base.gens) for w in subgroup_words)
+        payload += "".join(f"\n{w}" for w in subgroup)
     digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    if subgroup_words is None:
-        index = 1
-        subgroup = None
-        quotient = class2_quotient(lifted)
-        z_word = Word.gen(z_index)
-    else:
-        gens = preimage_subgroup(lifted, subgroup_words, z_index)
-        table = todd_coxeter(lifted, gens, max_cosets=max_cosets)
-        system = schreier_system(table, lifted)
-        z_in_subgroup = system.rewrite(Word.gen(z_index))
-        reduced, tracked = tietze_reduce(system.presentation,
-                                         budget=tietze_budget,
-                                         tracked=[z_in_subgroup])
-        index = table.index
-        subgroup = tuple(format_word(w, lp.base.gens) for w in subgroup_words)
-        quotient = class2_quotient(reduced)
-        z_word = tracked[0]
-
-    image = quotient.image(z_word)
+    index, pres = preimage_presentation(lp, subgroup_words, max_cosets,
+                                        tietze_budget)
+    quotient = class2_quotient(pres)
+    image = quotient.image(Word.gen(pres.ngens - 1))
     if image.order is None:
         location = ("abelianization"
                     if quotient.abelian_order(image.a) is None

@@ -6,6 +6,32 @@ from latcover.presets import Lattice
 from latcover.su21 import GroupMatrix, HermitianForm, scale_to_su
 
 
+def det(m) -> int:
+    """Exact determinant of a square IntMatrix by fraction-free (Bareiss)
+    elimination; the reference for unimodularity checks."""
+    a = [list(r) for r in m.data]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k]:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def _c(x):
     return CycloElt.rational(x, 1) if not isinstance(x, CycloElt) else x
 

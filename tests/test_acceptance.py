@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from latcover.fpgroups import (Word, preimage_subgroup, schreier_system,
-                               tietze_reduce, todd_coxeter)
+from latcover.fpgroups import (Word, schreier_system, tietze_reduce,
+                               todd_coxeter)
 from latcover.intlinalg import hnf_basis, in_rowspace
-from latcover.nq2 import class2_quotient, epsilon, rf_certificate
+from latcover.nq2 import (class2_quotient, epsilon, preimage_presentation,
+                          rf_certificate)
 from latcover.pathlift import (central_log, elliptic_log, relator_path,
                                winding_number)
 from latcover.presets import dm_lattice, verify_preset
@@ -123,13 +124,7 @@ def test_acceptance_05_index_72_certificate():
     assert cert.z_location == "derived part"
     assert cert.verdict == "INFINITE_ORDER"
 
-    lifted_pres = lifted.to_presentation()
-    z_index = lifted_pres.ngens - 1
-    pre_words = preimage_subgroup(lifted_pres, words, z_index)
-    lifted_table = todd_coxeter(lifted_pres, pre_words, max_cosets=200000)
-    system = schreier_system(lifted_table, lifted_pres)
-    lifted_sub, _ = tietze_reduce(system.presentation, budget=200000,
-                                  tracked=[system.rewrite(Word.gen(z_index))])
+    _, lifted_sub = preimage_presentation(lifted, words, max_cosets=200000)
     assert epsilon(base_sub, lifted_sub) == 1
 
     elapsed = time.monotonic() - start
@@ -166,24 +161,19 @@ def test_acceptance_06_stretch_surface_numbers():
     assert base_q.derived_part.describe() == "Z^29"
 
     lifted = preset.lift()
-    lifted_pres = lifted.to_presentation()
-    z_index = lifted_pres.ngens - 1
-    pre_words = preimage_subgroup(lifted_pres, words, z_index)
-    lifted_table = todd_coxeter(lifted_pres, pre_words, max_cosets=10 ** 7)
-    system = schreier_system(lifted_table, lifted_pres)
-    lifted_sub, tracked = tietze_reduce(
-        system.presentation, budget=10 ** 7,
-        tracked=[system.rewrite(Word.gen(z_index))])
+    _, lifted_sub = preimage_presentation(lifted, words, max_cosets=10 ** 7,
+                                          tietze_budget=10 ** 7)
+    z_word = Word.gen(lifted_sub.ngens - 1)
     q = class2_quotient(lifted_sub)
     assert q.abelianization.describe() == "Z^14"
     assert q.derived_part.describe() == "Z/4 x Z^28"
-    z_image = q.image(tracked[0])
+    z_image = q.image(z_word)
     assert z_image.order is None
 
     # z^3 lands on 4 times a primitive derived-part element: its central
     # residue is divisible by 4, not by 8, modulo the relation lattice
     from latcover.nq2 import ClassTwoElement
-    cubed = q._central_residue(ClassTwoElement.from_word(q.n, tracked[0]) ** 3)
+    cubed = q._central_residue(ClassTwoElement.from_word(q.n, z_word) ** 3)
     assert cubed is not None
     width = len(cubed)
     relations = [list(row) for row in q.center_basis]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 
@@ -302,6 +303,48 @@ def test_oversized_path_exits_3_before_sampling(capsys, word, samples):
     assert rc == 3
     assert out == ""
     assert "over the limit" in err
+
+
+def test_oversized_nq2_exits_3(capsys, monkeypatch):
+    import latcover.nq2 as nq2
+    monkeypatch.setattr(nq2, "MAX_WEDGE_SIZE", 2)
+    rc, out, err = run(capsys, "nq2", "--preset", PRESET1)
+    assert rc == 3
+    assert out == ""
+    assert "over the limit" in err
+
+
+@pytest.fixture
+def z_named_files(tmp_path, preset1_dir):
+    """The first preset's files with generator v renamed z."""
+    for source, target in (("presentation.txt", "p.txt"),
+                           ("subgroups/hirzebruch.words", "h.words")):
+        text = (preset1_dir / source).read_text()
+        (tmp_path / target).write_text(re.sub(r"\bv\b", "z", text))
+    mats = (preset1_dir / "matrices.txt").read_text()
+    (tmp_path / "m.txt").write_text(mats.replace("matrix v", "matrix z"))
+    return ["--pres", str(tmp_path / "p.txt"),
+            "--matrices", str(tmp_path / "m.txt")]
+
+
+@pytest.mark.parametrize("command", ["lift", "certify"])
+def test_generator_named_z_exits_2(capsys, z_named_files, command):
+    rc, out, err = run(capsys, command, *z_named_files)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: central generator name 'z' collides\n"
+
+
+def test_generator_named_z_without_lift(capsys, z_named_files, tmp_path):
+    subgroup = ["--subgroup", str(tmp_path / "h.words")]
+    rc, out, _ = run(capsys, "cosets", *z_named_files, *subgroup)
+    assert (rc, out) == (0, "index: 72\nvalid: yes\nnormal: yes\n")
+    rc, out, _ = run(capsys, "subpres", *z_named_files, *subgroup)
+    assert rc == 0
+    assert len(out.splitlines()[0].split()) == 1 + 4
+    rc, out, _ = run(capsys, "winding", *z_named_files, "--word", "b^9")
+    assert rc == 0
+    assert out.startswith("winding: -1\n")
 
 
 def test_nonpositive_samples_exits_2(capsys):

@@ -12,12 +12,14 @@ from latcover.fpgroups import (
     format_word,
     parse_presentation,
     parse_word,
-    preimage_subgroup,
     schreier_system,
     serialize_presentation,
     tietze_reduce,
     todd_coxeter,
 )
+from latcover.intlinalg import quotient_invariants
+from latcover.nq2 import class2_quotient, preimage_presentation
+from latcover.pathlift import LiftedPresentation
 
 
 def w(text, gens):
@@ -252,13 +254,32 @@ def test_tietze_fixpoint():
     assert reduced == pres
 
 
-def test_tietze_tracked_words():
-    pres = parse_presentation("generators: a b\nb*a^-2\n")
-    reduced, tracked = tietze_reduce(pres, tracked=[parse_word("b", pres.gens),
-                                                   parse_word("a*b", pres.gens)])
-    assert reduced.gens == ["a"]
-    assert tracked[0] == Word([(0, 2)])
-    assert tracked[1] == Word([(0, 3)])
+def test_tietze_central_exponents():
+    # b*a^-2*z = 1 gives b = a^2*z^-1, so b^3 becomes a^6*z^-3
+    pres = parse_presentation("generators: a b\nb*a^-2\nb^3\n")
+    reduced, exps = tietze_reduce(pres, central=[1, 0])
+    assert reduced == Presentation(["a"], [Word([(0, 6)])])
+    assert exps == [-3]
+
+
+def test_tietze_keeps_collapsed_central_relator():
+    # a*b^-1*z = 1 and a*b^-1*z^-1 = 1 leave z^-2 = 1 once a is eliminated
+    pres = parse_presentation("generators: a b\na*b^-1\na*b^-1\n")
+    reduced, exps = tietze_reduce(pres, central=[1, -1])
+    assert reduced == Presentation(["b"], [Word()])
+    assert exps == [-2]
+    assert tietze_reduce(pres) == Presentation(["b"], [])
+
+
+def test_tietze_central_duplicates_and_shortening():
+    # (w, k) and (w^-1, -k) are one relator; a^3*z^2 shortened by a^3*z
+    # leaves z, a^-3*z shortened by the inverse orientation leaves z^2
+    a3 = Word([(0, 3)])
+    collapsed = Presentation(["a"], [a3, Word()])
+    pres = Presentation(["a"], [a3, a3.inv(), a3])
+    assert tietze_reduce(pres, central=[1, -1, 2]) == (collapsed, [1, 1])
+    pres = Presentation(["a"], [a3, a3.inv()])
+    assert tietze_reduce(pres, central=[1, 1]) == (collapsed, [1, 2])
 
 
 def test_tietze_preserves_group_order():
@@ -289,47 +310,45 @@ def test_tietze_shortens_with_substitution():
 # ---------------------------------------------------------------- preimage
 
 
-def _lifted_z9():
-    # central extension of Z/3 by Z/3: <a, z | a^3 z^-1, [a,z], z^3> = Z/9
-    a, z = Word.gen(0), Word.gen(1)
-    return Presentation(["a", "z"], [
-        a ** 3 * z.inv(),
-        a * z * a.inv() * z.inv(),
-        z ** 3,
-    ])
+def _a4():
+    a, b = Word.gen(0), Word.gen(1)
+    return [a ** 2, b ** 3, (a * b) ** 3]
 
 
-def test_preimage_of_trivial_subgroup():
-    lifted = _lifted_z9()
-    gens = preimage_subgroup(lifted, [])
-    assert gens == [Word.gen(1)]
-    assert todd_coxeter(lifted, gens).index == 3
+# base presentation, central exponents, subgroup words, (index, z order)
+PREIMAGE_CASES = {
+    # Z/3 lifted to Z/9: a^3 = z and a^3 = z^-2 force z^3 = 1
+    "z9-trivial": (Presentation(["a"], [Word.gen(0, 3)] * 2), [-1, 2], [],
+                   (3, 3)),
+    "z9-whole": (Presentation(["a"], [Word.gen(0, 3)] * 2), [-1, 2],
+                 [Word.gen(0)], (1, 3)),
+    # A4 x Z/2: a repeated a^2 carries z^2
+    "a4xz2-b": (Presentation(["a", "b"], _a4() + [Word.gen(0, 2)]),
+                [0, 0, 0, 2], [Word.gen(1)], (4, 2)),
+    # A4 lifted by a^2 = b^3 = (ab)^3 = z^-1: order 72, z of order 6
+    "a4-lift-b": (Presentation(["a", "b"], _a4()), [1, 1, 1], [Word.gen(1)],
+                  (4, 6)),
+}
 
 
-def test_preimage_of_whole_group():
-    lifted = _lifted_z9()
-    gens = preimage_subgroup(lifted, [Word.gen(0)])
-    assert todd_coxeter(lifted, gens).index == 1
-
-
-def test_preimage_index_matches_base_index():
-    # base A4, lifted trivially by a central z (direct product with Z/2)
-    a, b, z = Word.gen(0), Word.gen(1), Word.gen(2)
-    base = Presentation(["a", "b"], [
-        Word([(0, 2)]), Word([(1, 3)]),
-        (Word.gen(0) * Word.gen(1)) ** 3,
-    ])
-    lifted = Presentation(["a", "b", "z"], [
-        Word([(0, 2)]), Word([(1, 3)]),
-        (Word.gen(0) * Word.gen(1)) ** 3,
-        a * z * a.inv() * z.inv(),
-        b * z * b.inv() * z.inv(),
-        z ** 2,
-    ])
-    sub = [b]
-    base_index = todd_coxeter(base, sub).index
-    lifted_index = todd_coxeter(lifted, preimage_subgroup(lifted, sub)).index
-    assert base_index == lifted_index == 4
+@pytest.mark.parametrize("case", list(PREIMAGE_CASES))
+def test_preimage_presentation_matches_reference(case):
+    base, exponents, words, (index, z_order) = PREIMAGE_CASES[case]
+    lp = LiftedPresentation(base, exponents)
+    got_index, pres = preimage_presentation(lp, words)
+    q = class2_quotient(pres)
+    # reference: z as an ordinary generator of the lifted presentation, no
+    # Tietze reduction
+    lifted = lp.to_presentation()
+    z = Word.gen(lifted.ngens - 1)
+    table = todd_coxeter(lifted, words + [z])
+    system = schreier_system(table, lifted)
+    ref = class2_quotient(system.presentation)
+    assert got_index == table.index == index
+    assert q.abelianization == ref.abelianization
+    assert q.derived_part == ref.derived_part
+    z_image = q.image(Word.gen(pres.ngens - 1))
+    assert z_image.order == ref.image(system.rewrite(z)).order == z_order
 
 
 # ---------------------------------------------------------------- properties
@@ -428,6 +447,24 @@ def test_tietze_preserves_abelianization(pres):
     after = reduced.abelianization()
     assert (before.free_rank, before.torsion) == (after.free_rank, after.torsion)
     assert reduced.ngens <= pres.ngens
+
+
+def _central_abelianization(pres, exps):
+    """Abelianization of <gens, z | relator_i * z^k_i, z central>."""
+    rows = [[r.exponent_sum(g) for g in range(pres.ngens)] + [k]
+            for r, k in zip(pres.relators, exps)]
+    return quotient_invariants(pres.ngens + 1, rows)
+
+
+@given(random_presentation(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_tietze_central_preserves_extension_abelianization(pres, data):
+    n = len(pres.relators)
+    exps = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    reduced, out = tietze_reduce(pres, central=exps)
+    assert len(out) == len(reduced.relators)
+    assert (_central_abelianization(reduced, out)
+            == _central_abelianization(pres, exps))
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=6))

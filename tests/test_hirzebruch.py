@@ -2,9 +2,10 @@
 
 import pytest
 
-from latcover.fpgroups import (Word, preimage_subgroup, schreier_system,
-                               tietze_reduce, todd_coxeter)
-from latcover.nq2 import class2_quotient, epsilon, rf_certificate
+from latcover.fpgroups import (Word, schreier_system, tietze_reduce,
+                               todd_coxeter)
+from latcover.nq2 import (class2_quotient, epsilon, preimage_presentation,
+                          rf_certificate)
 from latcover.presets import dm_lattice
 
 
@@ -36,14 +37,7 @@ def lifted(preset):
 
 @pytest.fixture(scope="module")
 def lifted_reduced(lifted, words):
-    pres = lifted.to_presentation()
-    table = todd_coxeter(pres, preimage_subgroup(pres, words),
-                         max_cosets=200000)
-    system = schreier_system(table, pres)
-    z_word = system.rewrite(Word.gen(pres.ngens - 1))
-    reduced, tracked = tietze_reduce(system.presentation, budget=200000,
-                                     tracked=[z_word])
-    return table, reduced, tracked[0]
+    return preimage_presentation(lifted, words, max_cosets=200000)
 
 
 def test_fixture_is_listed(preset):
@@ -79,12 +73,13 @@ def test_base_subgroup_quotient_ranks(base_reduced):
 
 
 def test_preimage_index_matches(lifted_reduced, base_table):
-    table, _, _ = lifted_reduced
-    assert table.index == base_table.index == 72
+    index, _ = lifted_reduced
+    assert index == base_table.index == 72
 
 
 def test_lifted_subgroup_quotient_ranks(lifted_reduced):
-    _, reduced, z_word = lifted_reduced
+    _, reduced = lifted_reduced
+    z_word = Word.gen(reduced.ngens - 1)
     q = class2_quotient(reduced)
     assert q.abelianization.free_rank == 4
     assert q.derived_part.free_rank == 4
@@ -95,7 +90,7 @@ def test_lifted_subgroup_quotient_ranks(lifted_reduced):
 
 
 def test_epsilon_is_one(base_reduced, lifted_reduced):
-    _, reduced, _ = lifted_reduced
+    _, reduced = lifted_reduced
     assert epsilon(base_reduced, reduced) == 1
 
 

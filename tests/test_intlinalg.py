@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from latcover.intlinalg import (
     AbelianInvariants,
     IntMatrix,
-    det,
     hnf,
     hnf_basis,
     in_rowspace,
@@ -20,6 +19,8 @@ from latcover.intlinalg import (
     solve_in_rowspace,
     sublattice_with_zero_prefix,
 )
+
+from helpers_latcover import det
 
 
 def _mat(rows):

@@ -455,6 +455,20 @@ def test_invariants_match_enumeration_on_random_finite_groups():
         assert q.derived_part == AbelianInvariants(0, derived_factors)
 
 
+def test_nq2_rejects_oversized_presentation(monkeypatch):
+    import latcover.nq2 as nq2
+    monkeypatch.setattr(nq2, "MAX_WEDGE_SIZE", wedge_size(4))
+    assert class2_quotient(Presentation(list("abcd"), [])).n == 4
+    with pytest.raises(ValueError, match="over the limit"):
+        class2_quotient(Presentation(list("abcde"), []))
+
+
+def test_nq2_limit_admits_stretch_sizes():
+    # the stretch check's Z^14 abelianization needs 14 generators, plus z
+    from latcover.nq2 import MAX_WEDGE_SIZE
+    assert wedge_size(15) <= MAX_WEDGE_SIZE
+
+
 # --------------------------------------------------- lifted presentations
 
 def test_lifted_relators_and_centrality():
