@@ -1,8 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N) with rational coefficients.
 
 Elements are dense coefficient vectors modulo the N-th cyclotomic polynomial
-Phi_N, with `fractions.Fraction` coefficients.  A certified midpoint-radius
-embedding into complex floating point (mpmath) feeds the numerical layers.
+Phi_N: phi(N) integer numerators over one common positive denominator, in
+lowest terms.  Phi_N is monic with integer coefficients, so reduction and
+products run on integers only; `coeffs` gives the `fractions.Fraction` view.
+A certified midpoint-radius embedding into complex floating point (mpmath)
+feeds the numerical layers.
 """
 
 from __future__ import annotations
@@ -10,12 +13,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Tuple
 
 import mpmath
-
-Rational = Fraction
 
 
 def euler_phi(n: int) -> int:
@@ -33,15 +34,6 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
-
-
-def _poly_mul_int(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _poly_div_exact_int(num: list, den: list) -> list:
@@ -78,31 +70,55 @@ def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_mod_phi(n: int, coeffs: list) -> Tuple[Fraction, ...]:
-    """Reduce a Fraction polynomial in zeta_n modulo Phi_n; pad to phi(n)."""
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """deg Phi_n and the nonzero terms (j, c_j) of Phi_n below its leading 1."""
     phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    work = [Fraction(c) for c in coeffs]
-    for k in range(len(work) - 1, deg - 1, -1):
-        c = work[k]
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def _reduced(n: int, num: list, den: int) -> Tuple[Tuple[int, ...], int]:
+    """num/den reduced modulo the monic Phi_n, padded to phi(n) integer
+    numerators, in lowest terms; consumes num."""
+    deg, tail = _phi_tail(n)
+    for k in range(len(num) - 1, deg - 1, -1):
+        c = num.pop()
         if c:
-            for j in range(deg + 1):
-                work[k - deg + j] -= c * phi[j]
-        work.pop()
-    while len(work) < deg:
-        work.append(Fraction(0))
-    return tuple(work)
+            for j, p in tail:
+                num[k - deg + j] -= c * p
+    num.extend([0] * (deg - len(num)))
+    g = gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(c // g for c in num), den // g
 
 
 class CycloElt:
-    """An element of Q(zeta_n), stored as phi(n) Fraction coefficients."""
+    """An element of Q(zeta_n): integer numerators `num` of the powers
+    zeta_n^0 .. zeta_n^(phi(n)-1) over one positive denominator `den`, with
+    gcd(den, *num) == 1, so each element has one representation per
+    conductor (zero is all-zero over 1)."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs: Iterable):
-        coeffs = list(coeffs)
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
         self.n = n
-        self.coeffs = _reduce_mod_phi(n, coeffs)
+        self.num, self.den = _reduced(
+            n, [f.numerator * (den // f.denominator) for f in fracs], den)
+
+    @staticmethod
+    def _of(n: int, num: list, den: int) -> "CycloElt":
+        elt = CycloElt.__new__(CycloElt)
+        elt.n = n
+        elt.num, elt.den = _reduced(n, num, den)
+        return elt
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The phi(n) rational coefficients num[k] / den."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @staticmethod
     def rational(value, n: int = 1) -> "CycloElt":
@@ -123,31 +139,36 @@ class CycloElt:
         if m % self.n != 0:
             raise ValueError(f"cannot promote conductor {self.n} to {m}")
         step = m // self.n
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1 or 1)
-        for k, c in enumerate(self.coeffs):
+        out = [0] * ((len(self.num) - 1) * step + 1)
+        for k, c in enumerate(self.num):
             out[k * step] = c
-        return CycloElt(m, out)
+        return CycloElt._of(m, out, self.den)
 
     def _unified(self, other) -> Tuple["CycloElt", "CycloElt"]:
         other = _coerce(other, self.n)
-        m = self.n * other.n // gcd(self.n, other.n)
+        if other.n == self.n:
+            return self, other
+        m = lcm(self.n, other.n)
         return self.promote(m), other.promote(m)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __add__(self, other) -> "CycloElt":
         a, b = self._unified(other)
-        return CycloElt(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        return CycloElt._of(a.n, [x * sa + y * sb for x, y in zip(a.num, b.num)],
+                            den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloElt":
-        return CycloElt(self.n, [-c for c in self.coeffs])
+        return CycloElt._of(self.n, [-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "CycloElt":
         return self + (-_coerce(other, self.n))
@@ -157,13 +178,13 @@ class CycloElt:
 
     def __mul__(self, other) -> "CycloElt":
         a, b = self._unified(other)
-        out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    if bj:
-                        out[i + j] += ai * bj
-        return CycloElt(a.n, out)
+        out = [0] * (len(a.num) + len(b.num) - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in enumerate(b.num):
+                    if y:
+                        out[i + j] += x * y
+        return CycloElt._of(a.n, out, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -206,16 +227,16 @@ class CycloElt:
         if not isinstance(other, CycloElt):
             return NotImplemented
         a, b = self._unified(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None  # equality crosses conductors; no cheap canonical hash
 
     def conjugate(self) -> "CycloElt":
-        """Complex conjugation, zeta_n -> zeta_n^(n-1)."""
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * (self.n - 1) + 1 or 1)
-        for k, c in enumerate(self.coeffs):
-            out[k * (self.n - 1) if self.n > 1 else 0] += c
-        return CycloElt(self.n, out)
+        """Complex conjugation, zeta_n^k -> zeta_n^(n-k)."""
+        out = [0] * self.n
+        for k, c in enumerate(self.num):
+            out[-k % self.n] = c
+        return CycloElt._of(self.n, out, self.den)
 
     def root_of_unity_exponent(self) -> Optional[Tuple[int, int]]:
         """Return (M, a) with self = zeta_M^a and M = lcm(2, n), else None."""
@@ -364,7 +385,10 @@ def _tokenize(text: str) -> list:
             raise ValueError(f"bad cyclotomic literal near {text[pos:pos+12]!r}")
         pos = m.end()
         if m.group("rat") is not None:
-            tokens.append(("rat", Fraction(m.group("rat"))))
+            try:
+                tokens.append(("rat", Fraction(m.group("rat"))))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
         elif m.group("z") is not None:
             tokens.append(("z", int(m.group("z")[1:])))
         elif m.group("pow") is not None:

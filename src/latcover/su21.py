@@ -40,7 +40,7 @@ def exact_to_complex(a: CycloElt, bits: int = DEFAULT_EMBED_BITS) -> complex:
 
 def _exact_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(3)), CycloElt.zero())
+        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
               for j in range(3))
         for i in range(3))
 
@@ -136,14 +136,16 @@ class GroupMatrix:
 
     @staticmethod
     def identity(form: HermitianForm) -> "GroupMatrix":
-        return GroupMatrix(form, exact=_exact_identity())
+        return GroupMatrix(form, exact=_exact_identity(),
+                           numeric=np.eye(3, dtype=complex))
 
     @staticmethod
     def scalar(value: CycloElt, form: HermitianForm) -> "GroupMatrix":
         zero = CycloElt.zero()
         return GroupMatrix(form, exact=((value, zero, zero),
                                         (zero, value, zero),
-                                        (zero, zero, value)))
+                                        (zero, zero, value)),
+                           numeric=np.diag([exact_to_complex(value)] * 3))
 
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
         if self.form is not other.form and self.form != other.form:
@@ -165,14 +167,10 @@ class GroupMatrix:
     def __pow__(self, k: int) -> "GroupMatrix":
         if k < 0:
             return self.inv() ** (-k)
-        out = GroupMatrix.identity(self.form)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        if k <= 1:
+            return self if k else GroupMatrix.identity(self.form)
+        half = self ** (k // 2)
+        return half * half * self if k % 2 else half * half
 
     def scale(self, s: CycloElt) -> "GroupMatrix":
         if self.exact is None:

@@ -1,6 +1,8 @@
 """Shared builders for the worked lattice data used across test modules."""
 
-from latcover.exactnum import CycloElt, zeta
+from fractions import Fraction
+
+from latcover.exactnum import CycloElt, cyclotomic_polynomial, zeta
 from latcover.fpgroups import Presentation, Word, braid_relator
 from latcover.presets import Lattice
 from latcover.su21 import GroupMatrix, HermitianForm, scale_to_su
@@ -30,6 +32,91 @@ def det(m) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+# ------------------------------------------------ cyclotomic reference
+# Fraction-coefficient polynomial arithmetic modulo Phi_n, the reference for
+# CycloElt's integer-numerator kernel. Elements are coefficient tuples.
+
+
+def ref_reduce(n, coeffs):
+    """Reduce a Fraction polynomial in zeta_n modulo Phi_n; pad to phi(n)."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    work = [Fraction(c) for c in coeffs]
+    for k in range(len(work) - 1, deg - 1, -1):
+        c = work[k]
+        if c:
+            for j in range(deg + 1):
+                work[k - deg + j] -= c * phi[j]
+        work.pop()
+    return tuple(work + [Fraction(0)] * (deg - len(work)))
+
+
+def ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_mul(n, a, b):
+    return ref_reduce(n, _poly_mul(list(a), list(b)))
+
+
+def ref_promote(n, a, m):
+    """The image in Q(zeta_m) of a in Q(zeta_n), n dividing m."""
+    step = m // n
+    out = [Fraction(0)] * ((len(a) - 1) * step + 1)
+    for k, c in enumerate(a):
+        out[k * step] = c
+    return ref_reduce(m, out)
+
+
+def ref_conjugate(n, a):
+    """zeta_n -> zeta_n^(n-1), term by term."""
+    out = [Fraction(0)] * ((len(a) - 1) * (n - 1) + 1)
+    for k, c in enumerate(a):
+        out[k * (n - 1)] += c
+    return ref_reduce(n, out)
+
+
+def ref_inv(n, a):
+    """Inverse of a nonzero a by the extended Euclidean algorithm with Phi_n."""
+    r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
+    r1 = list(a)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while any(r1):
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s1_q = _poly_mul(q, s1)
+        width = max(len(s0), len(s1_q))
+        s0, s1 = s1, [(s0[i] if i < len(s0) else 0)
+                      - (s1_q[i] if i < len(s1_q) else 0)
+                      for i in range(width)]
+    g = next(c for c in reversed(r0) if c)
+    return ref_reduce(n, [c / g for c in s0])
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(num, den):
+    num = list(num)
+    while den and den[-1] == 0:
+        den = den[:-1]
+    dd = len(den) - 1
+    if len(num) - 1 < dd:
+        return [Fraction(0)], num
+    quot = [Fraction(0)] * (len(num) - dd)
+    for k in range(len(quot) - 1, -1, -1):
+        c = num[k + dd] / den[-1]
+        quot[k] = c
+        for j, dj in enumerate(den):
+            num[k + j] -= c * dj
+    return quot, num[:dd] or [Fraction(0)]
 
 
 def _c(x):

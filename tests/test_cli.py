@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +188,50 @@ def test_cosets_report(capsys):
                      "--subgroup", "hirzebruch")
     assert rc == 0
     assert out == "index: 72\nvalid: yes\nnormal: yes\n"
+
+
+def test_cosets_validates_the_table_once(capsys, monkeypatch):
+    from latcover.fpgroups import CosetTable
+    calls = []
+    original = CosetTable.validates
+
+    def counting(self, *args):
+        calls.append(self.index)
+        return original(self, *args)
+
+    monkeypatch.setattr(CosetTable, "validates", counting)
+    rc, out, _ = run(capsys, "cosets", "--preset", PRESET1,
+                     "--subgroup", "hirzebruch")
+    assert (rc, out) == (0, "index: 72\nvalid: yes\nnormal: yes\n")
+    assert calls == [72]
+
+
+def test_cosets_invalid_table_exits_3(capsys, monkeypatch):
+    from latcover.fpgroups import CosetTable
+    monkeypatch.setattr(CosetTable, "validates", lambda self, *args: False)
+    rc, out, err = run(capsys, "cosets", "--preset", PRESET1,
+                       "--subgroup", "hirzebruch")
+    assert rc == 3
+    assert out == ""
+    assert err == "error: enumeration produced an invalid table\n"
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("verify-dm-11-7-2-2-2-12", ["verify", "--preset", PRESET2]),
+    ("winding-b9-dm-5-4-1-1-1-6", ["winding", "--preset", PRESET1,
+                                   "--word", "b^9"]),
+    ("subpres-hirzebruch", ["subpres", "--preset", PRESET1,
+                            "--subgroup", "hirzebruch"]),
+    ("certify-hirzebruch", ["certify", "--preset", PRESET1,
+                            "--subgroup", "hirzebruch"]),
+])
+def test_output_matches_benchmark_golden(capsys, golden, argv):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert out == (GOLDEN / f"{golden}.txt").read_text()
 
 
 def test_subpres_reduces_to_four_generators(capsys):
@@ -377,6 +422,20 @@ def test_nonunitary_user_matrix_exits_2(capsys, tmp_path):
     assert rc == 2
     assert out == ""
     assert "not unitary" in err
+
+
+def test_zero_denominator_in_matrix_file_exits_2(capsys, tmp_path,
+                                                 preset1_dir):
+    lines = (preset1_dir / "matrices.txt").read_text().splitlines()
+    lines[lines.index("matrix b") + 1] = "1/0"  # b's top-left entry
+    (tmp_path / "m.txt").write_text("\n".join(lines) + "\n")
+    (tmp_path / "p.txt").write_text(
+        (preset1_dir / "presentation.txt").read_text())
+    rc, out, err = run(capsys, "lift", "--pres", str(tmp_path / "p.txt"),
+                       "--matrices", str(tmp_path / "m.txt"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "zero denominator" in err
 
 
 def test_no_arguments_is_a_usage_error(capsys):

@@ -1,6 +1,7 @@
 """Tests for exact cyclotomic arithmetic and the certified complex embedding."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import mpmath
 import pytest
@@ -16,6 +17,9 @@ from latcover.exactnum import (
     to_literal,
     zeta,
 )
+
+from helpers_latcover import (ref_add, ref_conjugate, ref_inv, ref_mul,
+                              ref_promote, ref_reduce)
 
 
 def test_cyclotomic_polynomials():
@@ -144,6 +148,12 @@ def test_parse_garbage():
             parse_cyclo(bad, 6)
 
 
+@pytest.mark.parametrize("text", ["1/0", "z6 - 3/00*z6", "-2/0*z6^2"])
+def test_parse_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_cyclo(text, 6)
+
+
 def test_literal_round_trip():
     elts = [
         CycloElt.zero(6),
@@ -208,6 +218,56 @@ def test_canonical_zero(a):
     diff = a - a
     assert all(c == 0 for c in diff.coeffs)
     assert len(diff.coeffs) == euler_phi(diff.n)
+
+
+def assert_canonical(e):
+    """phi(n) integer numerators over a positive denominator, lowest terms,
+    zero over 1."""
+    assert len(e.num) == euler_phi(e.n)
+    assert all(type(c) is int for c in e.num) and type(e.den) is int
+    assert e.den >= 1 and gcd(e.den, *e.num) == 1
+    assert any(e.num) or e.den == 1
+
+
+_KERNEL_CONDUCTORS = st.sampled_from([1, 3, 4, 6, 12, 18, 36])
+
+
+@st.composite
+def reference_pairs(draw):
+    """(n, raw coefficients): up to 2*phi(n) of them, so that construction
+    reduces modulo Phi_n, with denominators up to 7."""
+    n = draw(_KERNEL_CONDUCTORS)
+    rat = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    return n, draw(st.lists(rat, max_size=2 * euler_phi(n)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(reference_pairs(), reference_pairs())
+def test_integer_kernel_matches_fraction_reference(pa, pb):
+    (n, raw_a), (m, raw_b) = pa, pb
+    a, b = CycloElt(n, raw_a), CycloElt(m, raw_b)
+    ra, rb = ref_reduce(n, raw_a), ref_reduce(m, raw_b)
+    assert a.coeffs == ra and b.coeffs == rb
+    k = lcm(n, m)
+    ua, ub = ref_promote(n, ra, k), ref_promote(m, rb, k)
+    assert a.promote(k).coeffs == ua
+    results = {
+        "+": (a + b, ref_add(ua, ub)),
+        "-": (a - b, ref_add(ua, tuple(-c for c in ub))),
+        "*": (a * b, ref_mul(k, ua, ub)),
+        "conjugate": (a.conjugate(), ref_conjugate(n, ra)),
+        "promote": (b.promote(2 * k), ref_promote(m, rb, 2 * k)),
+    }
+    if any(ra):
+        results["inv"] = (a.inv(), ref_inv(n, ra))
+    for op, (got, want) in results.items():
+        assert got.coeffs == want, op
+        assert_canonical(got)
+    assert_canonical(a)
+    assert (a == b) == (ua == ub)
+    assert (a == a * Fraction(1, 2)) == a.is_zero
+    assert a == CycloElt(k, ua) and a.promote(k) == a
+    assert (a - a).den == 1 and (a - a) == 0
 
 
 def test_interval_arithmetic_is_conservative():

@@ -10,6 +10,7 @@ from latcover.su21 import (
     HermitianForm,
     IwasawaCoords,
     Z0,
+    _numeric_from_exact,
     check_unitary,
     homog_project,
     iwasawa,
@@ -140,6 +141,28 @@ def test_scaled_relator_powers():
     assert v ** 6 == zhat_sq
     assert (b * u * v) ** 3 == GroupMatrix.identity(form)
     assert check_unitary(zhat)
+
+
+def test_identity_and_scalar_numerics_are_their_entries_embedded():
+    form = HermitianForm.standard()
+    mats = [GroupMatrix.identity(form)] + [
+        GroupMatrix.scalar(value, form)
+        for value in (zeta(3), zeta(3, 2), zeta(36, 7), -zeta(18, 5),
+                      (2 * zeta(6) - 1) / 3, CycloElt.zero())]
+    for g in mats:
+        embedded = _numeric_from_exact(g.exact)
+        assert np.array_equal(g.numeric, embedded)
+        assert g.numeric.tobytes() == embedded.tobytes()
+
+
+def test_powers_match_repeated_products():
+    form, b0, u0, v0 = picard_generators()
+    g = scale_to_su(u0) * v0
+    product = GroupMatrix.identity(form)
+    for k in range(8):
+        assert g ** k == product
+        assert g ** -k == product.inv()
+        product = product * g
 
 
 def test_scale_rejects_non_root_of_unity_det():
