@@ -9,6 +9,7 @@ written in full or not at all; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -40,6 +41,8 @@ class InputError(Exception):
 def _load_inputs(args) -> Tuple[Lattice, Optional[List[Word]]]:
     if args.preset and args.pres:
         raise ValueError("choose one of --preset or --pres, not both")
+    if args.matrices and not args.pres:
+        raise ValueError("--matrices needs --pres FILE")
     if args.preset:
         lattice = dm_lattice(args.preset)
     elif args.pres:
@@ -155,10 +158,8 @@ def cmd_winding(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
 
 def _residual_at_bits(mat: GroupMatrix, bits: int) -> float:
     with mpmath.workprec(bits + 16):
-        entries = [[embed_complex(e, bits).mid for e in row]
-                   for row in mat.exact]
-        form = [[embed_complex(e, bits).mid for e in row]
-                for row in mat.form.matrix]
+        entries = [[embed_complex(e, bits) for e in row] for row in mat.exact]
+        form = [[embed_complex(e, bits) for e in row] for row in mat.form.matrix]
         worst = mpmath.mpf(0)
         for i in range(3):
             for j in range(3):
@@ -300,9 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: each build leaves argparse reference cycles behind
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     for knob in ("bits", "samples", "max_cosets"):
         if getattr(args, knob) <= 0:
             print(f"error: --{knob.replace('_', '-')} must be positive",

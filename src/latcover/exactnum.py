@@ -4,8 +4,9 @@ Elements are dense coefficient vectors modulo the N-th cyclotomic polynomial
 Phi_N: phi(N) integer numerators over one common positive denominator, in
 lowest terms.  Phi_N is monic with integer coefficients, so reduction and
 products run on integers only; `coeffs` gives the `fractions.Fraction` view.
-A certified midpoint-radius embedding into complex floating point (mpmath)
-feeds the numerical layers.
+`embed_complex` maps an element to one mpmath complex point, summed with 16
+guard bits over the requested precision; it is the only way exact values
+reach the numerical layers.
 """
 
 from __future__ import annotations
@@ -247,15 +248,12 @@ class CycloElt:
             m = 2
         if (self ** m) != 1:
             return None
-        arg = mpmath.arg(self.embed(64).mid)
+        arg = mpmath.arg(embed_complex(self, 64))
         a = int(mpmath.nint(arg * m / (2 * mpmath.pi))) % m
         if self != zeta_power(m, a):
             raise ArithmeticError(f"64-bit embedding misplaced {self!r} among "
                                   f"the {m}-th roots of unity")
         return (m, a)
-
-    def embed(self, bits: int = 128) -> "ComplexInterval":
-        return embed_complex(self, bits)
 
     def __repr__(self) -> str:
         return f"CycloElt({self.n}, {to_literal(self)!r})"
@@ -315,60 +313,17 @@ def zeta_power(m: int, a: int) -> CycloElt:
     return zeta(m, a % m) if m > 1 else CycloElt.one()
 
 
-class ComplexInterval:
-    """Complex midpoint-radius interval; radius is a rigorous error bound."""
-
-    __slots__ = ("mid", "rad")
-
-    def __init__(self, mid, rad):
-        self.mid = mpmath.mpc(mid)
-        self.rad = mpmath.mpf(rad)
-        if self.rad < 0:
-            raise ValueError("negative interval radius")
-
-    def contains(self, z) -> bool:
-        return abs(mpmath.mpc(z) - self.mid) <= self.rad
-
-    def intersects(self, other: "ComplexInterval") -> bool:
-        return abs(self.mid - other.mid) <= self.rad + other.rad
-
-    def __add__(self, other: "ComplexInterval") -> "ComplexInterval":
-        mid = self.mid + other.mid
-        slack = mpmath.mpf(2) ** (4 - mpmath.mp.prec) * (1 + abs(mid))
-        return ComplexInterval(mid, self.rad + other.rad + slack)
-
-    def __mul__(self, other: "ComplexInterval") -> "ComplexInterval":
-        mid = self.mid * other.mid
-        rad = (abs(self.mid) * other.rad + abs(other.mid) * self.rad
-               + self.rad * other.rad)
-        slack = mpmath.mpf(2) ** (4 - mpmath.mp.prec) * (1 + abs(mid))
-        return ComplexInterval(mid, rad + slack)
-
-    def __complex__(self) -> complex:
-        return complex(self.mid)
-
-    def __repr__(self) -> str:
-        return f"ComplexInterval({self.mid}, {self.rad})"
-
-
-def embed_complex(a: CycloElt, bits: int = 128) -> ComplexInterval:
-    """Certified image of a under zeta_n -> exp(2*pi*i/n)."""
+def embed_complex(a: CycloElt, bits: int = 128) -> mpmath.mpc:
+    """Image of a under zeta_n -> exp(2*pi*i/n), summed at bits + 16 bits."""
     if bits < 53:
         raise ValueError(f"need at least 53 bits, got {bits}")
-    prec = bits + 16
-    with mpmath.workprec(prec):
-        mid = mpmath.mpc(0)
-        scale = mpmath.mpf(0)
+    with mpmath.workprec(bits + 16):
+        value = mpmath.mpc(0)
         for k, c in enumerate(a.coeffs):
             if c:
                 term = mpmath.mpf(c.numerator) / c.denominator
-                root = mpmath.expjpi(mpmath.mpf(2 * k) / a.n)
-                mid += term * root
-                scale += abs(term)
-        # every term carries O(ulp) relative error; bound the accumulation
-        nterms = max(1, len(a.coeffs))
-        rad = mpmath.mpf(2) ** (6 - prec) * (scale + abs(mid) + 1) * nterms
-        return ComplexInterval(mid, rad)
+                value += term * mpmath.expjpi(mpmath.mpf(2 * k) / a.n)
+        return value
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<z>z\d+)"

@@ -4,9 +4,14 @@ enumeration, Reidemeister-Schreier subgroup presentations, Tietze reduction."""
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .intlinalg import AbelianInvariants, quotient_invariants
+
+
+# bound on the letters of the relators and subgroup words that Todd-Coxeter
+# expands, checked before any expansion
+MAX_WORD_LETTERS = 2 ** 22
 
 
 class EnumerationLimit(RuntimeError):
@@ -248,6 +253,10 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Word] = (),
 
     Returns the standardized complete table or raises EnumerationLimit.
     """
+    letters = sum(len(w) for w in (*pres.relators, *subgroup_gens))
+    if letters > MAX_WORD_LETTERS:
+        raise EnumerationLimit(f"relators and subgroup words have {letters} "
+                               f"letters, over the limit of {MAX_WORD_LETTERS}")
     d = pres.ngens
     ncols = 2 * d
     relator_paths = [[(2 * g if s > 0 else 2 * g + 1) for g, s in rel.letters()]

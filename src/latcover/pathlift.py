@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fpgroups import Presentation, Word
-from .su21 import _H_STD, GroupMatrix, Z0, unitarity_residual
+from .su21 import _H_STD, Z0, unitarity_residual
 
 TWO_PI = 2.0 * math.pi
 EXP_TOL = 1e-10
@@ -101,10 +101,10 @@ def _split_repeated_eigenspace(vecs: np.ndarray, i: int, j: int) -> np.ndarray:
     return out
 
 
-def elliptic_log(g, index: int = 0, tol: float = EXP_TOL) -> GeneratorLog:
+def elliptic_log(g: np.ndarray, index: int = 0, tol: float = EXP_TOL) -> GeneratorLog:
     """Traceless anti-hermitian log of an elliptic or central SU(2,1) matrix,
     eigenvalue arguments branch (-pi, pi] before the traceless adjustment."""
-    mat = g.numeric if isinstance(g, GroupMatrix) else np.asarray(g, dtype=complex)
+    mat = np.asarray(g, dtype=complex)
     off = mat - np.eye(3) * mat[0, 0]
     if np.max(np.abs(off)) < 1e-12:
         value = mat[0, 0]

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .exactnum import CycloElt, parse_cyclo, to_literal, zeta_power
+from .exactnum import CycloElt, embed_complex, parse_cyclo, to_literal, zeta_power
 
 DEFAULT_EMBED_BITS = 96
 UNITARY_TOL = 1e-8
@@ -32,10 +31,6 @@ def _as_exact_matrix(entries) -> ExactMatrix:
             if not isinstance(entry, CycloElt):
                 raise TypeError(f"matrix entries must be CycloElt, got {entry!r}")
     return rows
-
-
-def exact_to_complex(a: CycloElt, bits: int = DEFAULT_EMBED_BITS) -> complex:
-    return complex(a.embed(bits).mid)
 
 
 def _exact_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -75,8 +70,16 @@ def _exact_identity() -> ExactMatrix:
     return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
 
 
+def _exact_standard_form() -> ExactMatrix:
+    one, zero = CycloElt.one(), CycloElt.zero()
+    return ((zero, zero, one), (zero, one, zero), (one, zero, zero))
+
+
 def _numeric_from_exact(a: ExactMatrix, bits: int = DEFAULT_EMBED_BITS) -> np.ndarray:
-    return np.array([[exact_to_complex(entry, bits) for entry in row] for row in a])
+    """The one exact-to-float boundary: entries embedded at `bits` bits, then
+    rounded to complex doubles."""
+    return np.array([[complex(embed_complex(entry, bits)) for entry in row]
+                     for row in a])
 
 
 class HermitianForm:
@@ -95,12 +98,11 @@ class HermitianForm:
 
     @staticmethod
     def standard() -> "HermitianForm":
-        one, zero = CycloElt.one(), CycloElt.zero()
-        return HermitianForm(((zero, zero, one), (zero, one, zero), (one, zero, zero)))
+        return HermitianForm(_exact_standard_form())
 
     @property
     def is_standard(self) -> bool:
-        return self.matrix == HermitianForm.standard().matrix
+        return self.matrix == _exact_standard_form()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HermitianForm):
@@ -112,57 +114,42 @@ class HermitianForm:
 
 
 class GroupMatrix:
-    """Matrix with a hermitian form attached; exact cyclotomic entries when
-    available, always a numeric copy."""
+    """Matrix with exact cyclotomic entries and a hermitian form attached;
+    its complex view `numeric` is embedded on first read."""
 
-    __slots__ = ("exact", "numeric", "form")
+    __slots__ = ("exact", "form", "_numeric")
 
-    def __init__(self, form: HermitianForm, exact: Optional[ExactMatrix] = None,
-                 numeric: Optional[np.ndarray] = None):
+    def __init__(self, form: HermitianForm, exact: ExactMatrix):
         self.form = form
-        self.exact = _as_exact_matrix(exact) if exact is not None else None
-        if numeric is not None:
-            self.numeric = np.asarray(numeric, dtype=complex)
-            if self.numeric.shape != (3, 3):
-                raise ValueError("expected a 3x3 matrix")
-        elif self.exact is not None:
-            self.numeric = _numeric_from_exact(self.exact)
-        else:
-            raise ValueError("need exact or numeric entries")
+        self.exact = _as_exact_matrix(exact)
+        self._numeric: Optional[np.ndarray] = None
 
-    @staticmethod
-    def from_exact(entries, form: HermitianForm) -> "GroupMatrix":
-        return GroupMatrix(form, exact=_as_exact_matrix(entries))
+    @property
+    def numeric(self) -> np.ndarray:
+        if self._numeric is None:
+            self._numeric = _numeric_from_exact(self.exact)
+        return self._numeric
 
     @staticmethod
     def identity(form: HermitianForm) -> "GroupMatrix":
-        return GroupMatrix(form, exact=_exact_identity(),
-                           numeric=np.eye(3, dtype=complex))
+        return GroupMatrix(form, _exact_identity())
 
     @staticmethod
     def scalar(value: CycloElt, form: HermitianForm) -> "GroupMatrix":
         zero = CycloElt.zero()
-        return GroupMatrix(form, exact=((value, zero, zero),
-                                        (zero, value, zero),
-                                        (zero, zero, value)),
-                           numeric=np.diag([exact_to_complex(value)] * 3))
+        return GroupMatrix(form, ((value, zero, zero),
+                                  (zero, value, zero),
+                                  (zero, zero, value)))
 
     def __mul__(self, other: "GroupMatrix") -> "GroupMatrix":
         if self.form is not other.form and self.form != other.form:
             raise ValueError("cannot multiply matrices over different forms")
-        exact = None
-        if self.exact is not None and other.exact is not None:
-            exact = _exact_matmul(self.exact, other.exact)
-        return GroupMatrix(self.form, exact=exact,
-                           numeric=self.numeric @ other.numeric)
+        return GroupMatrix(self.form, _exact_matmul(self.exact, other.exact))
 
     def inv(self) -> "GroupMatrix":
-        exact = None
-        if self.exact is not None:
-            det = _exact_det(self.exact)
-            exact = _exact_scalar_mul(det.inv(), _exact_adjugate(self.exact))
-        return GroupMatrix(self.form, exact=exact,
-                           numeric=np.linalg.inv(self.numeric))
+        det = _exact_det(self.exact)
+        return GroupMatrix(self.form,
+                           _exact_scalar_mul(det.inv(), _exact_adjugate(self.exact)))
 
     def __pow__(self, k: int) -> "GroupMatrix":
         if k < 0:
@@ -173,32 +160,22 @@ class GroupMatrix:
         return half * half * self if k % 2 else half * half
 
     def scale(self, s: CycloElt) -> "GroupMatrix":
-        if self.exact is None:
-            raise ValueError("exact entries required for exact scaling")
-        return GroupMatrix(self.form, exact=_exact_scalar_mul(s, self.exact))
+        return GroupMatrix(self.form, _exact_scalar_mul(s, self.exact))
 
     def det(self) -> CycloElt:
-        if self.exact is None:
-            raise ValueError("exact entries required for exact determinant")
         return _exact_det(self.exact)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupMatrix):
             return NotImplemented
-        if self.exact is None or other.exact is None:
-            raise ValueError("exact equality needs exact entries on both sides")
         return self.exact == other.exact
 
     def __repr__(self) -> str:
-        if self.exact is not None:
-            return f"GroupMatrix({[[to_literal(e) for e in row] for row in self.exact]})"
-        return f"GroupMatrix(numeric={np.round(self.numeric, 6)!r})"
+        return f"GroupMatrix({[[to_literal(e) for e in row] for row in self.exact]})"
 
 
 def check_unitary(g: GroupMatrix) -> bool:
     """True iff g* h g = h holds exactly."""
-    if g.exact is None:
-        raise ValueError("check_unitary needs exact entries")
     lhs = _exact_matmul(_exact_conj_transpose(g.exact),
                         _exact_matmul(g.form.matrix, g.exact))
     return lhs == g.form.matrix
@@ -307,9 +284,9 @@ def standard_form_conjugator(form: HermitianForm) -> np.ndarray:
     return q @ a
 
 
-def iwasawa(g, tol: float = UNITARY_TOL) -> IwasawaCoords:
+def iwasawa(g: np.ndarray, tol: float = UNITARY_TOL) -> IwasawaCoords:
     """Iwasawa coordinates of a numeric SU(2,1) matrix (standard form)."""
-    mat = g.numeric if isinstance(g, GroupMatrix) else np.asarray(g, dtype=complex)
+    mat = np.asarray(g, dtype=complex)
     residual = unitarity_residual(mat)
     if residual > tol:
         raise ValueError(f"matrix is not h-unitary: residual {residual:.3e}")
@@ -334,10 +311,9 @@ def iwasawa(g, tol: float = UNITARY_TOL) -> IwasawaCoords:
     return IwasawaCoords(lam, zvec, t, k_su, xi)
 
 
-def homog_project(g, tol: float = NONVANISHING_TOL) -> complex:
+def homog_project(g: np.ndarray, tol: float = NONVANISHING_TOL) -> complex:
     """Last coordinate of g*z0; equals lambda^-1 * xi, never zero on SU(2,1)."""
-    mat = g.numeric if isinstance(g, GroupMatrix) else np.asarray(g, dtype=complex)
-    value = complex((mat @ Z0)[2])
+    value = complex((np.asarray(g, dtype=complex) @ Z0)[2])
     if abs(value) < tol:
         raise ValueError(f"projection modulus {abs(value):.3e} below {tol}; "
                          "input is not close to SU(2,1)")
@@ -397,7 +373,7 @@ def parse_matrix_file(text: str) -> Tuple[HermitianForm, Dict[str, GroupMatrix]]
         name = decl.split()[1]
         if name in matrices:
             raise ValueError(f"duplicate matrix name {name!r}")
-        matrices[name] = GroupMatrix.from_exact(take_entries(), form)
+        matrices[name] = GroupMatrix(form, take_entries())
     return form, matrices
 
 
@@ -414,8 +390,6 @@ def serialize_matrix_file(conductor: int, form: HermitianForm,
         for row in form.matrix:
             out.extend(literal(e) for e in row)
     for name, g in matrices.items():
-        if g.exact is None:
-            raise ValueError(f"matrix {name!r} has no exact entries")
         out.append(f"matrix {name}")
         for row in g.exact:
             out.extend(literal(e) for e in row)

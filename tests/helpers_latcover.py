@@ -132,21 +132,21 @@ def picard_unscaled():
     form = HermitianForm.standard()
     s = 2 * zeta(6) - 1            # sqrt(-3)
     c = (2 * zeta(6) - 1) / 3      # -1/sqrt(-3)
-    b0 = GroupMatrix.from_exact(_mat([
+    b0 = GroupMatrix(form, _mat([
         [1, 0, c],
         [0, zeta(6, 5), 0],
         [s, 0, 0],
-    ]), form)
-    u0 = GroupMatrix.from_exact(_mat([
+    ]))
+    u0 = GroupMatrix(form, _mat([
         [zeta(6, 5), 0, 0],
         [s, zeta(6), 0],
         [s, s, zeta(6, 5)],
-    ]), form)
-    v0 = GroupMatrix.from_exact(_mat([
+    ]))
+    v0 = GroupMatrix(form, _mat([
         [zeta(6), 0, 0],
         [0, zeta(3), 0],
         [0, 0, zeta(6)],
-    ]), form)
+    ]))
     return form, b0, u0, v0
 
 

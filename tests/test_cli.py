@@ -317,6 +317,20 @@ def test_both_preset_and_pres_exits_2(capsys, preset1_dir):
     assert "not both" in err
 
 
+def test_matrices_without_pres_exits_2(capsys, monkeypatch):
+    import latcover.cli as cli
+
+    def no_preset(preset_id):
+        raise AssertionError("the preset was loaded")
+
+    monkeypatch.setattr(cli, "dm_lattice", no_preset)
+    rc, out, err = run(capsys, "lift", "--preset", PRESET1,
+                       "--matrices", "/nonexistent")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--matrices" in err
+
+
 def test_bad_word_exits_2(capsys):
     rc, out, err = run(capsys, "winding", "--preset", PRESET1,
                        "--word", "q^2")
@@ -338,6 +352,39 @@ def test_enumeration_limit_exits_3(capsys):
     assert rc == 3
     assert out == ""
     assert "limit" in err
+
+
+def test_oversized_subgroup_words_exit_3(capsys, monkeypatch, tmp_path,
+                                         preset1_dir):
+    import latcover.fpgroups as fpgroups
+    # the preset's relators have 39 letters together; b, u, v bring 3 more,
+    # and spelling b as b^7 (b has order 3) brings 9
+    monkeypatch.setattr(fpgroups, "MAX_WORD_LETTERS", 45)
+    words = tmp_path / "whole.words"
+    argv = ("cosets", "--pres", str(preset1_dir / "presentation.txt"),
+            "--subgroup", str(words))
+    words.write_text("b\nu\nv\n")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and out.startswith("index: 1\n")
+    words.write_text("b^7\nu\nv\n")
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3
+    assert out == ""
+    assert "over the limit" in err
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    import gc
+    main(["lift", "--preset", PRESET1])
+    gc.collect()
+    gc.disable()
+    try:
+        rc = main(["lift", "--preset", PRESET1])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert rc == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("word, samples", [("b^1000000000", "256"),

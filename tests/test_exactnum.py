@@ -1,4 +1,4 @@
-"""Tests for exact cyclotomic arithmetic and the certified complex embedding."""
+"""Tests for exact cyclotomic arithmetic and its complex embedding."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcover.exactnum import (
-    ComplexInterval,
     CycloElt,
     cyclotomic_polynomial,
     embed_complex,
@@ -77,22 +76,24 @@ def test_inv_zero_signals():
         CycloElt.zero(6).inv()
 
 
+def _embed_error(elt, bits, reference):
+    """|embed_complex(elt, bits) - reference|, measured at 512 bits."""
+    with mpmath.workprec(512):
+        return abs(embed_complex(elt, bits=bits) - reference)
+
+
 def test_embed_one():
-    box = embed_complex(CycloElt.one(), bits=128)
-    assert box.rad <= mpmath.mpf(2) ** -50
-    assert box.contains(1)
+    assert _embed_error(CycloElt.one(), 128, mpmath.mpc(1)) <= 2.0 ** -100
 
 
 def test_embed_zeta4_is_i():
-    box = embed_complex(zeta(4), bits=128)
-    with mpmath.workprec(200):
-        assert box.contains(mpmath.mpc(0, 1))
+    assert _embed_error(zeta(4), 128, mpmath.mpc(0, 1)) <= 2.0 ** -100
 
 
 def test_embed_sqrt_minus_three():
-    box = embed_complex(2 * zeta(6) - 1, bits=128)
-    with mpmath.workprec(200):
-        assert box.contains(mpmath.sqrt(3) * mpmath.mpc(0, 1))
+    with mpmath.workprec(512):
+        exact = mpmath.sqrt(3) * mpmath.mpc(0, 1)
+    assert _embed_error(2 * zeta(6) - 1, 128, exact) <= 2.0 ** -100
 
 
 def test_embed_requires_53_bits():
@@ -100,11 +101,13 @@ def test_embed_requires_53_bits():
         embed_complex(zeta(6), bits=10)
 
 
-def test_embed_radius_shrinks_with_bits():
+def test_embed_error_shrinks_with_bits():
     elt = (2 * zeta(6) - 1) / 7 + Fraction(1, 3)
-    rads = [embed_complex(elt, bits=b).rad for b in (64, 128, 256)]
-    assert rads[1] <= rads[0] / 2 ** 32
-    assert rads[2] <= rads[1] / 2 ** 32
+    with mpmath.workprec(512):
+        exact = mpmath.mpc(mpmath.mpf(1) / 3, mpmath.sqrt(3) / 7)
+    errors = [_embed_error(elt, b, exact) for b in (64, 128, 256)]
+    assert errors[1] <= errors[0] / 2 ** 32
+    assert errors[2] <= errors[1] / 2 ** 32
 
 
 def test_conductor_promotion():
@@ -194,12 +197,12 @@ def test_field_axioms(a, b, c):
 @settings(max_examples=1000, deadline=None)
 @given(cyclo_elements(), cyclo_elements())
 def test_embed_is_ring_homomorphism(a, b):
-    ab = embed_complex(a * b, bits=64)
-    prod = embed_complex(a, bits=64) * embed_complex(b, bits=64)
-    assert ab.intersects(prod)
-    asum = embed_complex(a + b, bits=64)
-    total = embed_complex(a, bits=64) + embed_complex(b, bits=64)
-    assert asum.intersects(total)
+    ea, eb = embed_complex(a, bits=64), embed_complex(b, bits=64)
+    with mpmath.workprec(128):
+        bound = mpmath.mpf(2) ** -40 * (1 + abs(ea) * abs(eb))
+        assert abs(embed_complex(a * b, bits=64) - ea * eb) <= bound
+        bound = mpmath.mpf(2) ** -40 * (1 + abs(ea) + abs(eb))
+        assert abs(embed_complex(a + b, bits=64) - (ea + eb)) <= bound
 
 
 @settings(max_examples=300, deadline=None)
@@ -268,12 +271,3 @@ def test_integer_kernel_matches_fraction_reference(pa, pb):
     assert (a == a * Fraction(1, 2)) == a.is_zero
     assert a == CycloElt(k, ua) and a.promote(k) == a
     assert (a - a).den == 1 and (a - a) == 0
-
-
-def test_interval_arithmetic_is_conservative():
-    a = ComplexInterval(mpmath.mpc(1, 2), mpmath.mpf("1e-20"))
-    b = ComplexInterval(mpmath.mpc(-3, 0.5), mpmath.mpf("1e-22"))
-    prod = a * b
-    assert prod.contains(mpmath.mpc(1, 2) * mpmath.mpc(-3, 0.5))
-    total = a + b
-    assert total.contains(mpmath.mpc(-2, 2.5))

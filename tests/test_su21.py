@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from latcover.exactnum import CycloElt, zeta
+from latcover.presets import Lattice, central_power, dm_lattice
 from latcover.su21 import (
     GroupMatrix,
     HermitianForm,
@@ -21,6 +22,8 @@ from latcover.su21 import (
     unitarity_residual,
 )
 
+from helpers_latcover import picard_presentation
+
 
 def _c(x):
     return CycloElt.rational(x, 1) if not isinstance(x, CycloElt) else x
@@ -35,21 +38,21 @@ def picard_generators():
     form = HermitianForm.standard()
     s = 2 * zeta(6) - 1            # sqrt(-3)
     c = (2 * zeta(6) - 1) / 3      # -1/sqrt(-3)
-    b0 = GroupMatrix.from_exact(_mat([
+    b0 = GroupMatrix(form, _mat([
         [1, 0, c],
         [0, zeta(6, 5), 0],
         [s, 0, 0],
-    ]), form)
-    u0 = GroupMatrix.from_exact(_mat([
+    ]))
+    u0 = GroupMatrix(form, _mat([
         [zeta(6, 5), 0, 0],
         [s, zeta(6), 0],
         [s, s, zeta(6, 5)],
-    ]), form)
-    v0 = GroupMatrix.from_exact(_mat([
+    ]))
+    v0 = GroupMatrix(form, _mat([
         [zeta(6), 0, 0],
         [0, zeta(3), 0],
         [0, 0, zeta(6)],
-    ]), form)
+    ]))
     return form, b0, u0, v0
 
 
@@ -89,15 +92,8 @@ def test_picard_generators_are_unitary():
 
 def test_scaling_matrix_is_not_unitary():
     form = HermitianForm.standard()
-    g = GroupMatrix.from_exact(_mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]), form)
+    g = GroupMatrix(form, _mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert not check_unitary(g)
-
-
-def test_check_unitary_needs_exact():
-    form = HermitianForm.standard()
-    g = GroupMatrix(form, numeric=np.eye(3))
-    with pytest.raises(ValueError):
-        check_unitary(g)
 
 
 def test_braid_relations_hold_unscaled():
@@ -155,6 +151,40 @@ def test_identity_and_scalar_numerics_are_their_entries_embedded():
         assert g.numeric.tobytes() == embedded.tobytes()
 
 
+def test_numeric_view_is_embedded_once_on_read(monkeypatch):
+    import latcover.su21 as su21
+    form, b0, u0, v0 = picard_generators()
+    calls = []
+    embed = su21._numeric_from_exact
+
+    def counting(a, *args):
+        calls.append(a)
+        return embed(a, *args)
+
+    monkeypatch.setattr(su21, "_numeric_from_exact", counting)
+    gens = [scale_to_su(g) for g in (b0, u0, v0)]
+    pres = picard_presentation()
+    powers = [central_power(rel, gens, form) for rel in pres.relators]
+    assert powers == [2, 2, 2, 0, 0, 0, 0]
+    lattice = Lattice(pres, form, {"b": b0, "u": u0, "v": v0})
+    assert lattice.central_powers() == powers
+    assert calls == []
+    first = lattice.numerics()
+    assert len(calls) == 3
+    assert calls == [g.exact for g in gens]
+    second = lattice.numerics()
+    assert len(calls) == 3
+    assert all(x is y for x, y in zip(first, second))
+    # a custom form: its two fixture files each embed the form once, and the
+    # conjugation to the standard form reads each generator's view once
+    calls.clear()
+    custom = dm_lattice("dm-11-7-2-2-2-12")
+    assert len(calls) == 5
+    custom.numerics()
+    custom.numerics()
+    assert len(calls) == 5
+
+
 def test_powers_match_repeated_products():
     form, b0, u0, v0 = picard_generators()
     g = scale_to_su(u0) * v0
@@ -167,7 +197,7 @@ def test_powers_match_repeated_products():
 
 def test_scale_rejects_non_root_of_unity_det():
     form = HermitianForm.standard()
-    g = GroupMatrix.from_exact(_mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]), form)
+    g = GroupMatrix(form, _mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(ValueError, match="root of unity"):
         scale_to_su(g)
 
@@ -180,8 +210,8 @@ def test_principal_branch_window():
     assert scale_to_su(b0) == b0.scale(delta_inv)
     # det = -1 boundary case: cube roots are at -60, 60, 180 degrees; the
     # window (-pi/3, pi/3] picks +60 degrees
-    g = GroupMatrix.from_exact(_mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-                               HermitianForm.standard())
+    g = GroupMatrix(HermitianForm.standard(),
+                    _mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     scaled = scale_to_su(g)
     assert scaled.det() == CycloElt.one()
     assert scaled.exact[0][0] == -zeta(6, -1)
@@ -266,7 +296,7 @@ def test_projection_basics():
     form = HermitianForm.standard()
     assert abs(homog_project(np.eye(3)) - 1.0) < 1e-15
     zhat = GroupMatrix.scalar(zeta(3), form)
-    assert abs(homog_project(zhat) - complex(-0.5, math.sqrt(3) / 2)) < 1e-12
+    assert abs(homog_project(zhat.numeric) - complex(-0.5, math.sqrt(3) / 2)) < 1e-12
     pure = IwasawaCoords(2.0, 0.0, 0.0, np.eye(2), 1.0)
     assert abs(homog_project(pure.matrix()) - 0.5) < 1e-12
 
@@ -350,9 +380,9 @@ def test_conjugator_realizes_the_form():
 def test_conjugator_carries_unitaries_to_standard_form():
     form = HermitianForm(_mat([[2, 0, 0], [0, 1, 0], [0, 0, -1]]))
     zero, one = CycloElt.zero(), CycloElt.one()
-    diag = GroupMatrix.from_exact(((zeta(4), zero, zero),
-                                   (zero, one, zero),
-                                   (zero, zero, zeta(6))), form)
+    diag = GroupMatrix(form, ((zeta(4), zero, zero),
+                              (zero, one, zero),
+                              (zero, zero, zeta(6))))
     assert check_unitary(diag)
     conj = standard_form_conjugator(form)
     for g in (diag, GroupMatrix.scalar(zeta(3), form)):
