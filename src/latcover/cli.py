@@ -18,10 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath
 
 from .exactnum import embed_complex
-from .fpgroups import (EnumerationLimit, Presentation, Word, format_word,
-                       parse_word, schreier_system, tietze_reduce,
-                       todd_coxeter)
-from .nq2 import class2_quotient, rf_certificate
+from .fpgroups import (EnumerationLimit, Word, format_word, parse_word,
+                       schreier_system, tietze_reduce, todd_coxeter)
+from .nq2 import (class2_quotient, rf_certificate, subgroup_abelianization,
+                  subgroup_class2)
 from .pathlift import (LiftedPresentation, generator_logs, relator_path,
                        winding_number)
 from .presets import (Lattice, LatticePreset, dm_lattice, file_lattice,
@@ -204,19 +204,14 @@ def cmd_cosets(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
 # ------------------------------------------------------------------ subpres
 
 
-def _subgroup_presentation(pres: Presentation, subgroup: Optional[List[Word]],
-                           max_cosets: int) -> Presentation:
+def cmd_subpres(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
     if not subgroup:
         raise InputError("subpres needs --subgroup FILE (or a bundled "
                          "subgroup name with --preset)")
-    table = todd_coxeter(pres, subgroup, max_cosets=max_cosets)
-    sub = schreier_system(table, pres).presentation
-    return tietze_reduce(sub, budget=200000)
-
-
-def cmd_subpres(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
-    reduced = _subgroup_presentation(lattice.presentation, subgroup,
-                                     args.max_cosets)
+    pres = lattice.presentation
+    table = todd_coxeter(pres, subgroup, max_cosets=args.max_cosets)
+    reduced = tietze_reduce(schreier_system(table, pres).presentation,
+                            budget=200000)
     lines = ["generators: " + " ".join(reduced.gens)]
     lines.extend(format_word(r, reduced.gens) for r in reduced.relators)
     return "\n".join(lines) + "\n", EXIT_OK
@@ -225,24 +220,23 @@ def cmd_subpres(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
 # ------------------------------------------------------------------ abelian / nq2
 
 
-def _target_presentation(pres: Presentation, subgroup: Optional[List[Word]],
-                         max_cosets: int) -> Presentation:
-    if subgroup:
-        return _subgroup_presentation(pres, subgroup, max_cosets)
-    return pres
-
-
 def cmd_abelian(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
-    pres = _target_presentation(lattice.presentation, subgroup,
-                                args.max_cosets)
-    inv = pres.abelianization()
+    pres = lattice.presentation
+    if subgroup:
+        table = todd_coxeter(pres, subgroup, max_cosets=args.max_cosets)
+        inv = subgroup_abelianization(table, pres)
+    else:
+        inv = pres.abelianization()
     return f"abelianization: {inv.describe()}\n", EXIT_OK
 
 
 def cmd_nq2(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
-    pres = _target_presentation(lattice.presentation, subgroup,
-                                args.max_cosets)
-    q = class2_quotient(pres)
+    pres = lattice.presentation
+    if subgroup:
+        table = todd_coxeter(pres, subgroup, max_cosets=args.max_cosets)
+        q = subgroup_class2(table, pres)
+    else:
+        q = class2_quotient(pres)
     return (f"abelianization: {q.abelianization.describe()}\n"
             f"derived part: {q.derived_part.describe()}\n"), EXIT_OK
 

@@ -479,18 +479,15 @@ def schreier_system(table: CosetTable, pres: Presentation) -> SchreierSystem:
     return system
 
 
-def tietze_reduce(pres: Presentation, budget: int = 20000,
-                  central: Optional[Sequence[int]] = None):
+def tietze_reduce(pres: Presentation, budget: int = 20000) -> Presentation:
     """Simplify a presentation by generator elimination and relator
     substitution; group isomorphism type is preserved.
 
-    With central exponents given, relator i stands for relator_i * z^k_i
-    with z central and outside the generators; every move carries the
-    exponents along, and the result is (Presentation, exponents).
+    Relators keep the original generator ids while moves run; the survivors
+    are renumbered once, in order, at the end.
     """
-    gens = list(pres.gens)
+    alive = set(range(pres.ngens))
     relators = [r.cyclically_reduced() for r in pres.relators]
-    exps = [0] * len(relators) if central is None else list(central)
     steps = 0
 
     def substitute(word: Word, gen: int, repl: Word) -> Word:
@@ -507,25 +504,21 @@ def tietze_reduce(pres: Presentation, budget: int = 20000,
         return Word(out)
 
     def cleanup():
-        # an empty word with k != 0 is the relator z^k; (w, k) and
-        # (w^-1, -k) are the same relator
-        nonlocal relators, exps
+        # w and w^-1 are the same relator
+        nonlocal relators
         seen = set()
         cleaned = []
-        for r, k in zip(relators, exps):
+        for r in relators:
             r = r.cyclically_reduced()
-            if r.is_identity and not k:
+            if (r.is_identity or r.syllables in seen
+                    or r.inv().syllables in seen):
                 continue
-            key = (r.syllables, k)
-            if key in seen or (r.inv().syllables, -k) in seen:
-                continue
-            seen.add(key)
-            cleaned.append((r, k))
-        relators = [r for r, _ in cleaned]
-        exps = [k for _, k in cleaned]
+            seen.add(r.syllables)
+            cleaned.append(r)
+        relators = cleaned
 
     def try_eliminate() -> bool:
-        nonlocal gens, relators, exps, steps
+        nonlocal relators, steps
         best = None
         for ri, rel in enumerate(relators):
             counts: Dict[int, int] = {}
@@ -539,20 +532,17 @@ def tietze_reduce(pres: Presentation, budget: int = 20000,
         if best is None:
             return False
         _, gen, ri = best
-        rel, k = relators.pop(ri), exps.pop(ri)
+        rel = relators.pop(ri)
         # rotate the single occurrence of gen to the front
         syl = list(rel.syllables)
         pos = next(i for i, (g, _) in enumerate(syl) if g == gen)
         rotated = Word(syl[pos:] + syl[:pos])
         head_gen, head_exp = rotated.syllables[0]
         tail = Word(rotated.syllables[1:])
-        # gen^(+-1) * tail * z^k = 1  =>  gen = tail^-1 z^-k, or tail z^k
-        repl, shift = (tail.inv(), -k) if head_exp == 1 else (tail, k)
-        exps = [e + shift * r.exponent_sum(gen) for r, e in zip(relators, exps)]
+        # gen^(+-1) * tail = 1  =>  gen = tail^-1, or tail
+        repl = tail.inv() if head_exp == 1 else tail
         relators = [substitute(r, gen, repl) for r in relators]
-        index_map = {g: (g if g < gen else g - 1) for g in range(len(gens)) if g != gen}
-        gens = [n for i, n in enumerate(gens) if i != gen]
-        relators = [r.remap(index_map) for r in relators]
+        alive.discard(gen)
         steps += 1
         return True
 
@@ -566,7 +556,7 @@ def tietze_reduce(pres: Presentation, budget: int = 20000,
         improved = False
         order = sorted(range(len(relators)), key=lambda i: len(relators[i]))
         for si in order:
-            short, short_exp = relators[si], exps[si]
+            short = relators[si]
             ls = len(short)
             if ls < 2 or ls > 40:
                 continue
@@ -607,15 +597,13 @@ def tietze_reduce(pres: Presentation, budget: int = 20000,
                 dbl = next(d for l, d in doubles if l == lab)
                 # the matched chunk equals a rotation prefix of the short
                 # relator, so it also equals the inverse of that rotation's
-                # suffix times z^(-lab*short_exp); swap it in and keep the
-                # result if shorter
+                # suffix; swap it in and keep the result if shorter
                 variant = dbl[start:start + ls]
                 suffix = Word(variant[run:])
                 rest = [long_letters[(lstart + k) % n] for k in range(run, n)]
                 new_long = (suffix.inv() * Word(rest)).cyclically_reduced()
                 if len(new_long) < len(long):
                     relators[li] = new_long
-                    exps[li] -= lab * short_exp
                     steps += 1
                     improved = True
         return improved
@@ -630,5 +618,7 @@ def tietze_reduce(pres: Presentation, budget: int = 20000,
             continue
         break
 
-    reduced = Presentation(gens, relators)
-    return reduced if central is None else (reduced, exps)
+    kept = sorted(alive)
+    index_map = {g: i for i, g in enumerate(kept)}
+    return Presentation([pres.gens[g] for g in kept],
+                        [r.remap(index_map) for r in relators])

@@ -163,12 +163,6 @@ def hnf_basis(m) -> List[List[int]]:
     return [row for row in h.data if any(row)]
 
 
-def kernel_basis(m) -> List[List[int]]:
-    """Integer basis of the left kernel {c : c * m = 0}, as rows."""
-    h, u = hnf(m)
-    return [u.data[i] for i, row in enumerate(h.data) if not any(row)]
-
-
 def snf(m) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: D = U*m*V diagonal with d1 | d2 | ..., U, V unimodular."""
     d, u, v = _snf_impl(_coerce_rows(m), transforms=True)
@@ -298,22 +292,6 @@ def quotient_invariants(rank: int, relation_rows) -> AbelianInvariants:
     nonzero = [abs(d) for d in diag if d]
     torsion = [d for d in nonzero if d > 1]
     return AbelianInvariants(rank - len(nonzero), torsion)
-
-
-def sublattice_with_zero_prefix(l_rows, prefix_width: int) -> IntMatrix:
-    """Generators of {v in rowspace : v's first prefix_width coords vanish},
-    projected to the trailing coordinates."""
-    rows = _coerce_rows(l_rows)
-    total = len(rows[0]) if rows else prefix_width
-    if any(len(r) != total for r in rows):
-        raise ValueError("ragged rows")
-    if prefix_width > total:
-        raise ValueError(f"prefix {prefix_width} exceeds width {total}")
-    h, _ = hnf(rows) if rows else (IntMatrix(0, total, []), None)
-    tail = total - prefix_width
-    out = [row[prefix_width:] for row in h.data
-           if not any(row[:prefix_width]) and any(row)]
-    return IntMatrix(len(out), tail, out)
 
 
 def _pivot_col(row: Sequence[int]) -> int:

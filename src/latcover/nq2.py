@@ -5,12 +5,13 @@ the order of a central generator in such a quotient."""
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence, Tuple
+import heapq
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fpgroups import (Presentation, Word, format_word, schreier_system,
-                       serialize_presentation, tietze_reduce, todd_coxeter)
-from .intlinalg import (IntMatrix, hnf, hnf_basis, in_rowspace,
-                        quotient_invariants, saturation_order,
+from .fpgroups import (CosetTable, Presentation, Word, format_word,
+                       schreier_system, serialize_presentation, todd_coxeter)
+from .intlinalg import (AbelianInvariants, IntMatrix, hnf, hnf_basis,
+                        in_rowspace, quotient_invariants, saturation_order,
                         solve_in_rowspace)
 
 
@@ -21,6 +22,13 @@ MAX_WEDGE_SIZE = 1225
 
 def wedge_size(n: int) -> int:
     return n * (n - 1) // 2
+
+
+def _check_wedge_size(n: int) -> None:
+    if wedge_size(n) > MAX_WEDGE_SIZE:
+        raise ValueError(f"class-2 quotient on {n} generators needs "
+                         f"{wedge_size(n)} wedge coordinates, over the "
+                         f"limit {MAX_WEDGE_SIZE}")
 
 
 def wedge_offsets(n: int) -> List[int]:
@@ -167,8 +175,9 @@ class NQ2Image:
 class NQ2:
     """Maximal class-2 nilpotent quotient of a finitely presented group.
 
-    The quotient is the free class-2 group on the presentation's generators
-    modulo the normal closure of the collected relators.  That closure meets
+    The quotient is the free class-2 group on n generators modulo the
+    normal closure of the relator images (collected relators, see
+    `class2_quotient` and `subgroup_class2`).  That closure meets
     the center in the lattice spanned by every relator-abelianization wedge
     h_i ^ e_k together with the collected values of the relator combinations
     whose abelianized rows cancel; membership and order tests reduce against
@@ -178,15 +187,9 @@ class NQ2:
     __slots__ = ("n", "relator_images", "_ah", "_au", "_abasis",
                  "center_basis", "abelianization", "derived_part")
 
-    def __init__(self, pres: Presentation):
-        n = pres.ngens
-        if wedge_size(n) > MAX_WEDGE_SIZE:
-            raise ValueError(f"class-2 quotient on {n} generators needs "
-                             f"{wedge_size(n)} wedge coordinates, over the "
-                             f"limit {MAX_WEDGE_SIZE}")
+    def __init__(self, n: int, relator_images: Sequence[ClassTwoElement]):
         self.n = n
-        self.relator_images = tuple(ClassTwoElement.from_word(n, rel)
-                                    for rel in pres.relators)
+        self.relator_images = tuple(relator_images)
         amat = IntMatrix.from_rows([list(e.a) for e in self.relator_images],
                                    cols=n)
         self._ah, self._au = hnf(amat)
@@ -244,15 +247,6 @@ class NQ2:
         elt = ClassTwoElement.from_word(self.n, word)
         return NQ2Image(elt.a, elt.m, self.order_of(elt))
 
-    def relation_rows(self) -> IntMatrix:
-        """Rows generating the relation subgroup: collected relator
-        coordinates plus the zero-prefixed central lattice basis.  These
-        generate under collected multiplication, not under integer row sums;
-        use is_trivial for membership questions."""
-        rows = [list(e.a) + list(e.m) for e in self.relator_images]
-        rows += [[0] * self.n + list(r) for r in self.center_basis]
-        return IntMatrix.from_rows(rows, cols=self.n + wedge_size(self.n))
-
     def __repr__(self) -> str:
         return (f"NQ2(n={self.n}, abelianization="
                 f"{self.abelianization.describe()}, derived_part="
@@ -261,14 +255,218 @@ class NQ2:
 
 def class2_quotient(pres: Presentation) -> NQ2:
     """Maximal class-2 nilpotent quotient of the presented group."""
-    return NQ2(pres)
+    n = pres.ngens
+    _check_wedge_size(n)
+    return NQ2(n, [ClassTwoElement.from_word(n, rel) for rel in pres.relators])
 
 
-def epsilon(base: Presentation, lifted: Presentation) -> int:
+# ------------------------------------------ subgroups from Schreier data
+#
+# A Schreier relator whose exponent-sum row has a unit entry in some column
+# determines that generator in every nilpotent quotient.  Unit-pivot
+# elimination of the rows (Sims, Computation with Finitely Presented Groups,
+# ch. 11) leaves the surviving columns D; every eliminated generator's image
+# in the free class-2 group on D follows by back-substitution, because the
+# m-part of a product is the sum of its factors' m-parts weighted by their
+# exponent sums, plus a constant that depends on the a-parts alone.
+
+
+def _unit_elimination(rows: List[Dict[int, int]], frozen: Optional[int]
+                      ) -> Tuple[List[Tuple[int, int, int]],
+                                 List[Tuple[int, int, int]]]:
+    """Eliminate columns on +-1 pivots, shortest rows first, in place.
+
+    Returns the pivots (column, row, unit) in elimination order and the row
+    operations (target, q, pivot row), each meaning target -= q * pivot.  A
+    pivot row is not touched after it is chosen, so it has zeros in the
+    earlier pivot columns; the frozen column never pivots."""
+    col_rows: Dict[int, set] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    chosen = set()
+    pivots: List[Tuple[int, int, int]] = []
+    log: List[Tuple[int, int, int]] = []
+    while heap:
+        size, p = heapq.heappop(heap)
+        row = rows[p]
+        if p in chosen or size != len(row):
+            continue
+        units = [c for c, e in row.items() if e in (1, -1) and c != frozen]
+        if not units:
+            continue
+        col = min(units, key=lambda c: (len(col_rows[c]), c))
+        unit = row[col]
+        chosen.add(p)
+        for c in row:
+            col_rows[c].discard(p)
+        pivots.append((col, p, unit))
+        for i in sorted(col_rows[col]):
+            target = rows[i]
+            q = target[col] * unit
+            for c, e in row.items():
+                value = target.get(c, 0) - q * e
+                if value:
+                    if c not in target:
+                        col_rows[c].add(i)
+                    target[c] = value
+                else:
+                    del target[c]
+                    col_rows[c].discard(i)
+            log.append((i, q, p))
+            heapq.heappush(heap, (len(target), i))
+    return pivots, log
+
+
+class _SchreierElimination:
+    """Schreier relators of a subgroup (each with its z-power appended when
+    central exponents are given; z is generator `ngens`) and the unit-pivot
+    elimination of their exponent-sum rows."""
+
+    __slots__ = ("words", "rows", "pivots", "log", "survivors")
+
+    def __init__(self, table: CosetTable, pres: Presentation,
+                 central: Optional[Sequence[int]] = None):
+        schreier = schreier_system(table, pres).presentation
+        ngens = schreier.ngens
+        zcol = None
+        self.words = [rel.syllables for rel in schreier.relators]
+        if central is not None:
+            if len(central) != len(self.words):
+                raise ValueError(f"{len(central)} central exponents for "
+                                 f"{len(self.words)} Schreier relators")
+            zcol = ngens
+            ngens += 1
+            self.words = [w + ((zcol, k),) if k else w
+                          for w, k in zip(self.words, central)]
+        self.rows = []
+        for word in self.words:
+            row: Dict[int, int] = {}
+            for g, e in word:
+                row[g] = row.get(g, 0) + e
+            self.rows.append({g: e for g, e in row.items() if e})
+        self.pivots, self.log = _unit_elimination(self.rows, zcol)
+        pivoted = {col for col, _, _ in self.pivots}
+        self.survivors = [c for c in range(ngens) if c not in pivoted]
+
+    def free_rows(self) -> List[Tuple[int, Dict[int, int]]]:
+        """The rows that did not pivot, with their relator indices."""
+        pivot_rows = {p for _, p, _ in self.pivots}
+        return [(i, row) for i, row in enumerate(self.rows)
+                if i not in pivot_rows]
+
+
+def _collect(word, images: Dict[int, Tuple[List[int], Optional[List[int]]]],
+             n: int) -> Tuple[List[int], List[int]]:
+    """Collected (a, m) of the product of images[g]^e over the syllables
+    (g, e) of word, in the free class-2 group on n generators; an image is
+    an (a, m) pair, m None meaning zero."""
+    a = [0] * n
+    m = [0] * wedge_size(n)
+    for g, e in word:
+        b, mg = images[g]
+        half = e * (e - 1) // 2
+        pos = 0
+        for i in range(n):
+            bi = b[i]
+            if bi:
+                # x^e is (e*b, e*m_x - half*b_i*b_j); right-multiplying by it
+                # passes e*b_i across a_j for every j > i
+                for j in range(i + 1, n):
+                    t = e * a[j] + half * b[j]
+                    if t:
+                        m[pos + j - i - 1] -= bi * t
+            pos += n - i - 1
+        for i in range(n):
+            a[i] += e * b[i]
+        if mg is not None:
+            for k, x in enumerate(mg):
+                m[k] += e * x
+    return a, m
+
+
+def _back_substitute(elim: _SchreierElimination,
+                     known: Dict[int, List[int]],
+                     constants: Sequence[Sequence[int]]
+                     ) -> Dict[int, List[int]]:
+    """Solve each pivot row's relation sum_c row[c]*x_c + constant = 0 on
+    its unit pivot, in reverse elimination order.  known holds the
+    survivors' values; a survivor missing from it is zero."""
+    x = dict(known)
+    for col, p, unit in reversed(elim.pivots):
+        acc = list(constants[p])
+        for c, e in elim.rows[p].items():
+            if c != col and c in x:
+                for k, v in enumerate(x[c]):
+                    acc[k] += e * v
+        x[col] = [-unit * v for v in acc]
+    return x
+
+
+def subgroup_class2(table: CosetTable, pres: Presentation,
+                    central: Optional[Sequence[int]] = None) -> NQ2:
+    """Class-2 quotient of the subgroup whose cosets the table enumerates,
+    built from its Schreier relators without Tietze reduction.
+
+    With central exponents (one per Schreier relator, coset-major), the
+    group is the subgroup's preimage in a central extension: relator i
+    carries z^central[i], z is central and is the last generator.  The
+    quotient's generators are the columns D that survive unit-pivot
+    elimination; MAX_WEDGE_SIZE bounds |D|.
+    """
+    elim = _SchreierElimination(table, pres, central)
+    survivors = elim.survivors
+    n = len(survivors)
+    _check_wedge_size(n)
+    # abelian coordinates over D; the survivors are its unit vectors
+    a = _back_substitute(
+        elim, {c: [int(k == i) for i in range(n)]
+               for k, c in enumerate(survivors)},
+        [[0] * n] * len(elim.rows))
+    letters = {c: (v, None) for c, v in a.items()}
+    # a relator's constant: its m-part with every letter set to (a, 0)
+    constants = [_collect(word, letters, n)[1] for word in elim.words]
+    for i, q, p in elim.log:
+        constants[i] = [x - q * y for x, y in zip(constants[i], constants[p])]
+    # commutator coordinates, zero on D
+    m = _back_substitute(elim, {}, constants)
+    images = {c: (v, m.get(c)) for c, v in a.items()}
+    zero = ([0] * n, [0] * wedge_size(n))
+    for _, p, _ in elim.pivots:
+        if _collect(elim.words[p], images, n) != zero:
+            raise AssertionError("a pivot relator survives its own "
+                                 "elimination")
+    relators: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], None] = {}
+    for i, row in elim.free_rows():
+        key = (tuple(row.get(c, 0) for c in survivors), tuple(constants[i]))
+        if any(key[0]) or any(key[1]):
+            relators.setdefault(key)
+    elements = [ClassTwoElement(n, ka, km) for ka, km in relators]
+    if central is not None:
+        z = Word.gen(n - 1)
+        elements += [ClassTwoElement.from_word(
+            n, Word.gen(s, -1) * z.inv() * Word.gen(s) * z)
+            for s in range(n - 1)]
+    return NQ2(n, elements)
+
+
+def subgroup_abelianization(table: CosetTable,
+                            pres: Presentation) -> AbelianInvariants:
+    """H1 of the subgroup whose cosets the table enumerates: the rows left
+    by unit-pivot elimination of its Schreier relators, over the survivors."""
+    elim = _SchreierElimination(table, pres)
+    rows = [[row.get(c, 0) for c in elim.survivors]
+            for _, row in elim.free_rows() if row]
+    return quotient_invariants(len(elim.survivors), rows)
+
+
+def epsilon(base: NQ2, lifted: NQ2) -> int:
     """Growth of the derived part's free rank from the base group's class-2
     quotient to the lifted group's; a central Z-extension changes it by 0 or 1."""
-    base_rank = class2_quotient(base).derived_part.free_rank
-    lifted_rank = class2_quotient(lifted).derived_part.free_rank
+    base_rank = base.derived_part.free_rank
+    lifted_rank = lifted.derived_part.free_rank
     diff = lifted_rank - base_rank
     if diff not in (0, 1):
         raise ValueError(f"derived free rank moved {base_rank} -> "
@@ -336,34 +534,8 @@ class Certificate:
         return f"Certificate(index={self.index}, verdict={self.verdict})"
 
 
-def preimage_presentation(lp, subgroup_words: Sequence[Word],
-                          max_cosets: int = 10 ** 6,
-                          tietze_budget: int = 200000
-                          ) -> Tuple[int, Presentation]:
-    """Index and presentation of the full preimage, in the lifted group, of
-    the subgroup generated by words over the base generators.
-
-    Since z is central and every lifted relator is r * z^k, the preimage is
-    the base subgroup's Reidemeister-Schreier presentation with each
-    rewritten relator carrying its relator's z-power, plus z central; z is
-    the last generator.
-    """
-    table = todd_coxeter(lp.base, subgroup_words, max_cosets=max_cosets)
-    system = schreier_system(table, lp.base)
-    # schreier_system lists the rewritten relators coset by coset
-    reduced, exps = tietze_reduce(system.presentation, budget=tietze_budget,
-                                  central=lp.exponents * table.index)
-    zi = reduced.ngens
-    z = Word.gen(zi)
-    relators = [w * Word.gen(zi, k) for w, k in zip(reduced.relators, exps)]
-    relators += [Word.gen(g) * z * Word.gen(g, -1) * z.inv()
-                 for g in range(zi)]
-    return table.index, Presentation(reduced.gens + [lp.z_name], relators)
-
-
 def rf_certificate(lp, subgroup_words: Optional[Sequence[Word]] = None,
-                   max_cosets: int = 10 ** 6,
-                   tietze_budget: int = 200000) -> Certificate:
+                   max_cosets: int = 10 ** 6) -> Certificate:
     """Test the central generator's order in the class-2 quotient of the
     whole lifted group (subgroup_words None) or of the full preimage of a
     finite-index subgroup given by words over the base generators."""
@@ -376,10 +548,11 @@ def rf_certificate(lp, subgroup_words: Optional[Sequence[Word]] = None,
         payload += "".join(f"\n{w}" for w in subgroup)
     digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    index, pres = preimage_presentation(lp, subgroup_words, max_cosets,
-                                        tietze_budget)
-    quotient = class2_quotient(pres)
-    image = quotient.image(Word.gen(pres.ngens - 1))
+    table = todd_coxeter(lp.base, subgroup_words, max_cosets=max_cosets)
+    # the Schreier relators run coset by coset over the base relators
+    quotient = subgroup_class2(table, lp.base,
+                               central=lp.exponents * table.index)
+    image = quotient.image(Word.gen(quotient.n - 1))
     if image.order is None:
         location = ("abelianization"
                     if quotient.abelian_order(image.a) is None
@@ -388,5 +561,5 @@ def rf_certificate(lp, subgroup_words: Optional[Sequence[Word]] = None,
     else:
         location = None
         verdict = "INCONCLUSIVE"
-    return Certificate(digest, subgroup, index, quotient.abelianization,
+    return Certificate(digest, subgroup, table.index, quotient.abelianization,
                        quotient.derived_part, image, location, verdict)

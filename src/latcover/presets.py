@@ -17,7 +17,8 @@ from .fpgroups import (Presentation, Word, braid_relator, parse_presentation,
 from .pathlift import (DEFAULT_SAMPLES_PER_LETTER, LiftedPresentation,
                        lift_presentation, normalize_lift)
 from .su21 import (GroupMatrix, HermitianForm, check_unitary,
-                   parse_matrix_file, scale_to_su, standard_form_conjugator)
+                   parse_matrix_entries, parse_matrix_file, scale_to_su,
+                   standard_form_conjugator)
 
 _CANONICAL = {
     "dm-5-4-1-1-1-6": "dm-5-4-1-1-1-6",
@@ -219,10 +220,10 @@ def verify_preset(preset: LatticePreset) -> List[Tuple[str, int]]:
 
 def _load_form_file(text: str, matrices_form: HermitianForm,
                     name: str) -> None:
-    form, extra = parse_matrix_file(text)
+    entries, extra = parse_matrix_entries(text)
     if extra:
         raise ValueError(f"form.txt of preset {name} must not define matrices")
-    if form != matrices_form:
+    if entries != matrices_form.matrix:
         raise ValueError(f"form.txt and matrices.txt disagree in preset {name}")
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -323,8 +323,10 @@ def homog_project(g: np.ndarray, tol: float = NONVANISHING_TOL) -> complex:
 # ---------------------------------------------------------------- fixture files
 
 
-def parse_matrix_file(text: str) -> Tuple[HermitianForm, Dict[str, GroupMatrix]]:
-    """Parse the matrix fixture format.
+def parse_matrix_entries(text: str
+                         ) -> Tuple[ExactMatrix, Dict[str, ExactMatrix]]:
+    """Parse the matrix fixture format into exact entries: the form's and
+    each named matrix's, nothing embedded or checked.
 
     Header: `conductor N`, then `form standard` or `form custom` followed by
     nine cyclotomic literal lines, then `matrix <name>` blocks each with nine
@@ -359,13 +361,13 @@ def parse_matrix_file(text: str) -> Tuple[HermitianForm, Dict[str, GroupMatrix]]
         raise ValueError(f"expected 'form <name>' line, got {form_line!r}")
     form_name = form_line.split()[1]
     if form_name == "standard":
-        form = HermitianForm.standard()
+        form = _exact_standard_form()
     elif form_name == "custom":
-        form = HermitianForm(take_entries())
+        form = take_entries()
     else:
         raise ValueError(f"unknown form {form_name!r}")
 
-    matrices: Dict[str, GroupMatrix] = {}
+    matrices: Dict[str, ExactMatrix] = {}
     while pos < len(lines):
         decl = take()
         if not decl.startswith("matrix "):
@@ -373,24 +375,13 @@ def parse_matrix_file(text: str) -> Tuple[HermitianForm, Dict[str, GroupMatrix]]
         name = decl.split()[1]
         if name in matrices:
             raise ValueError(f"duplicate matrix name {name!r}")
-        matrices[name] = GroupMatrix(form, take_entries())
+        matrices[name] = take_entries()
     return form, matrices
 
 
-def serialize_matrix_file(conductor: int, form: HermitianForm,
-                          matrices: Dict[str, GroupMatrix]) -> str:
-    def literal(e: CycloElt) -> str:
-        return to_literal(e.promote(conductor))
-
-    out: List[str] = [f"conductor {conductor}"]
-    if form.is_standard:
-        out.append("form standard")
-    else:
-        out.append("form custom")
-        for row in form.matrix:
-            out.extend(literal(e) for e in row)
-    for name, g in matrices.items():
-        out.append(f"matrix {name}")
-        for row in g.exact:
-            out.extend(literal(e) for e in row)
-    return "\n".join(out) + "\n"
+def parse_matrix_file(text: str) -> Tuple[HermitianForm, Dict[str, GroupMatrix]]:
+    """Parse the matrix fixture format (see `parse_matrix_entries`) into a
+    checked form and its group matrices."""
+    entries, raw = parse_matrix_entries(text)
+    form = HermitianForm(entries)
+    return form, {name: GroupMatrix(form, m) for name, m in raw.items()}

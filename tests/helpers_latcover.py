@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 
-from latcover.exactnum import CycloElt, cyclotomic_polynomial, zeta
+from latcover.exactnum import (CycloElt, cyclotomic_polynomial, to_literal,
+                               zeta)
 from latcover.fpgroups import Presentation, Word, braid_relator
+from latcover.intlinalg import IntMatrix, hnf
+from latcover.nq2 import wedge_size
 from latcover.presets import Lattice
 from latcover.su21 import GroupMatrix, HermitianForm, scale_to_su
 
@@ -32,6 +35,62 @@ def det(m) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _rows(m):
+    return [list(r) for r in (m.data if isinstance(m, IntMatrix) else m)]
+
+
+def kernel_basis(m):
+    """Integer basis of the left kernel {c : c * m = 0}, as rows."""
+    h, u = hnf(m)
+    return [u.data[i] for i, row in enumerate(h.data) if not any(row)]
+
+
+def sublattice_with_zero_prefix(l_rows, prefix_width):
+    """Generators of {v in rowspace : v's first prefix_width coords vanish},
+    projected to the trailing coordinates."""
+    rows = _rows(l_rows)
+    total = len(rows[0]) if rows else prefix_width
+    if any(len(r) != total for r in rows):
+        raise ValueError("ragged rows")
+    if prefix_width > total:
+        raise ValueError(f"prefix {prefix_width} exceeds width {total}")
+    h, _ = hnf(rows) if rows else (IntMatrix(0, total, []), None)
+    tail = total - prefix_width
+    out = [row[prefix_width:] for row in h.data
+           if not any(row[:prefix_width]) and any(row)]
+    return IntMatrix(len(out), tail, out)
+
+
+def relation_rows(q):
+    """Rows generating the relation subgroup of an NQ2 quotient: collected
+    relator coordinates plus the zero-prefixed central lattice basis. These
+    generate under collected multiplication, not under integer row sums;
+    use is_trivial for membership questions."""
+    rows = [list(e.a) + list(e.m) for e in q.relator_images]
+    rows += [[0] * q.n + list(r) for r in q.center_basis]
+    return IntMatrix.from_rows(rows, cols=q.n + wedge_size(q.n))
+
+
+def serialize_matrix_file(conductor, form, matrices):
+    """The matrix fixture text (see `su21.parse_matrix_entries`) of a form
+    and named group matrices, entries written over the given conductor."""
+    def literal(e):
+        return to_literal(e.promote(conductor))
+
+    out = [f"conductor {conductor}"]
+    if form.is_standard:
+        out.append("form standard")
+    else:
+        out.append("form custom")
+        for row in form.matrix:
+            out.extend(literal(e) for e in row)
+    for name, g in matrices.items():
+        out.append(f"matrix {name}")
+        for row in g.exact:
+            out.extend(literal(e) for e in row)
+    return "\n".join(out) + "\n"
 
 
 # ------------------------------------------------ cyclotomic reference

@@ -13,11 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from latcover.fpgroups import (Word, schreier_system, tietze_reduce,
-                               todd_coxeter)
+from latcover.fpgroups import Word, todd_coxeter
 from latcover.intlinalg import hnf_basis, in_rowspace
-from latcover.nq2 import (class2_quotient, epsilon, preimage_presentation,
-                          rf_certificate)
+from latcover.nq2 import epsilon, rf_certificate, subgroup_class2
 from latcover.pathlift import (central_log, elliptic_log, relator_path,
                                winding_number)
 from latcover.presets import dm_lattice, verify_preset
@@ -109,9 +107,7 @@ def test_acceptance_05_index_72_certificate():
                   for w in words for t in range(pres.ngens) for e in (1, -1)]
     assert table.fixes_all_cosets(conjugates)
 
-    base_sub = tietze_reduce(schreier_system(table, pres).presentation,
-                             budget=200000)
-    base_q = class2_quotient(base_sub)
+    base_q = subgroup_class2(table, pres)
     assert base_q.abelianization.free_rank == 4
     assert base_q.derived_part.free_rank == 3
 
@@ -124,8 +120,9 @@ def test_acceptance_05_index_72_certificate():
     assert cert.z_location == "derived part"
     assert cert.verdict == "INFINITE_ORDER"
 
-    _, lifted_sub = preimage_presentation(lifted, words, max_cosets=200000)
-    assert epsilon(base_sub, lifted_sub) == 1
+    lifted_q = subgroup_class2(table, pres,
+                               central=lifted.exponents * table.index)
+    assert epsilon(base_q, lifted_q) == 1
 
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
@@ -154,17 +151,13 @@ def test_acceptance_06_stretch_surface_numbers():
     pres = preset.presentation
     table = todd_coxeter(pres, words, max_cosets=10 ** 7)
     assert table.index == 54432
-    base_sub = tietze_reduce(schreier_system(table, pres).presentation,
-                             budget=10 ** 7)
-    base_q = class2_quotient(base_sub)
+    base_q = subgroup_class2(table, pres)
     assert base_q.abelianization.describe() == "Z^14"
     assert base_q.derived_part.describe() == "Z^29"
 
     lifted = preset.lift()
-    _, lifted_sub = preimage_presentation(lifted, words, max_cosets=10 ** 7,
-                                          tietze_budget=10 ** 7)
-    z_word = Word.gen(lifted_sub.ngens - 1)
-    q = class2_quotient(lifted_sub)
+    q = subgroup_class2(table, pres, central=lifted.exponents * table.index)
+    z_word = Word.gen(q.n - 1)
     assert q.abelianization.describe() == "Z^14"
     assert q.derived_part.describe() == "Z/4 x Z^28"
     z_image = q.image(z_word)

@@ -406,6 +406,47 @@ def test_oversized_nq2_exits_3(capsys, monkeypatch):
     assert "over the limit" in err
 
 
+@pytest.mark.parametrize("command", ["nq2", "certify"])
+def test_oversized_survivor_set_exits_3(capsys, monkeypatch, command):
+    # hirzebruch leaves 4 surviving Schreier generators, 5 with z; a limit of
+    # 3 wedge coordinates admits 3, and the check comes before any
+    # back-substitution
+    import latcover.nq2 as nq2
+    monkeypatch.setattr(nq2, "MAX_WEDGE_SIZE", 3)
+
+    def unreachable(*args):
+        raise RuntimeError("back-substitution ran past the size check")
+
+    monkeypatch.setattr(nq2, "_back_substitute", unreachable)
+    rc, out, err = run(capsys, command, "--preset", PRESET1,
+                       "--subgroup", "hirzebruch")
+    assert rc == 3
+    assert out == ""
+    assert "over the limit" in err
+
+
+@pytest.mark.parametrize("command", ["nq2", "certify"])
+def test_corrupted_m_part_trips_self_check(capsys, monkeypatch, command):
+    # one eliminated generator's commutator coordinates off by one: some
+    # pivot relator no longer maps to the identity
+    import latcover.nq2 as nq2
+    solve = nq2._back_substitute
+
+    def corrupted(elim, known, constants):
+        x = solve(elim, known, constants)
+        if not known:  # the m-parts, zero on the survivors
+            col = elim.pivots[len(elim.pivots) // 2][0]
+            x[col] = [x[col][0] + 1] + x[col][1:]
+        return x
+
+    monkeypatch.setattr(nq2, "_back_substitute", corrupted)
+    rc, out, err = run(capsys, command, "--preset", PRESET1,
+                       "--subgroup", "hirzebruch")
+    assert rc == 3
+    assert out == ""
+    assert "pivot relator" in err
+
+
 @pytest.fixture
 def z_named_files(tmp_path, preset1_dir):
     """The first preset's files with generator v renamed z."""

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latcover.fpgroups import (
     CosetTable,
@@ -17,8 +17,9 @@ from latcover.fpgroups import (
     tietze_reduce,
     todd_coxeter,
 )
-from latcover.intlinalg import quotient_invariants
-from latcover.nq2 import class2_quotient, preimage_presentation
+from latcover.intlinalg import AbelianInvariants, quotient_invariants
+from latcover.nq2 import (class2_quotient, subgroup_abelianization,
+                          subgroup_class2)
 from latcover.pathlift import LiftedPresentation
 
 
@@ -254,34 +255,6 @@ def test_tietze_fixpoint():
     assert reduced == pres
 
 
-def test_tietze_central_exponents():
-    # b*a^-2*z = 1 gives b = a^2*z^-1, so b^3 becomes a^6*z^-3
-    pres = parse_presentation("generators: a b\nb*a^-2\nb^3\n")
-    reduced, exps = tietze_reduce(pres, central=[1, 0])
-    assert reduced == Presentation(["a"], [Word([(0, 6)])])
-    assert exps == [-3]
-
-
-def test_tietze_keeps_collapsed_central_relator():
-    # a*b^-1*z = 1 and a*b^-1*z^-1 = 1 leave z^-2 = 1 once a is eliminated
-    pres = parse_presentation("generators: a b\na*b^-1\na*b^-1\n")
-    reduced, exps = tietze_reduce(pres, central=[1, -1])
-    assert reduced == Presentation(["b"], [Word()])
-    assert exps == [-2]
-    assert tietze_reduce(pres) == Presentation(["b"], [])
-
-
-def test_tietze_central_duplicates_and_shortening():
-    # (w, k) and (w^-1, -k) are one relator; a^3*z^2 shortened by a^3*z
-    # leaves z, a^-3*z shortened by the inverse orientation leaves z^2
-    a3 = Word([(0, 3)])
-    collapsed = Presentation(["a"], [a3, Word()])
-    pres = Presentation(["a"], [a3, a3.inv(), a3])
-    assert tietze_reduce(pres, central=[1, -1, 2]) == (collapsed, [1, 1])
-    pres = Presentation(["a"], [a3, a3.inv()])
-    assert tietze_reduce(pres, central=[1, 1]) == (collapsed, [1, 2])
-
-
 def test_tietze_preserves_group_order():
     pres = Presentation(["a", "b", "c"], [
         Word([(0, 2)]), Word([(1, 3)]),
@@ -331,24 +304,129 @@ PREIMAGE_CASES = {
 }
 
 
+def _preimage_quotient(lp, table):
+    """Class-2 quotient of the preimage, in the lifted group, of the
+    subgroup the table enumerates, by the Schreier route with central
+    exponents."""
+    return subgroup_class2(table, lp.base, central=lp.exponents * table.index)
+
+
+def _reference_quotient(lp, words):
+    """The same preimage with z as an ordinary generator of the lifted
+    presentation: its unreduced Schreier presentation, no elimination and no
+    Tietze; returns the index, the quotient and z's image."""
+    lifted = lp.to_presentation()
+    z = Word.gen(lifted.ngens - 1)
+    table = todd_coxeter(lifted, list(words) + [z])
+    system = schreier_system(table, lifted)
+    ref = class2_quotient(system.presentation)
+    return table.index, ref, ref.image(system.rewrite(z))
+
+
 @pytest.mark.parametrize("case", list(PREIMAGE_CASES))
 def test_preimage_presentation_matches_reference(case):
     base, exponents, words, (index, z_order) = PREIMAGE_CASES[case]
     lp = LiftedPresentation(base, exponents)
-    got_index, pres = preimage_presentation(lp, words)
-    q = class2_quotient(pres)
-    # reference: z as an ordinary generator of the lifted presentation, no
-    # Tietze reduction
-    lifted = lp.to_presentation()
-    z = Word.gen(lifted.ngens - 1)
-    table = todd_coxeter(lifted, words + [z])
-    system = schreier_system(table, lifted)
-    ref = class2_quotient(system.presentation)
-    assert got_index == table.index == index
+    table = todd_coxeter(base, words)
+    q = _preimage_quotient(lp, table)
+    ref_index, ref, ref_z = _reference_quotient(lp, words)
+    assert table.index == ref_index == index
     assert q.abelianization == ref.abelianization
     assert q.derived_part == ref.derived_part
-    z_image = q.image(Word.gen(pres.ngens - 1))
-    assert z_image.order == ref.image(system.rewrite(z)).order == z_order
+    z_image = q.image(Word.gen(q.n - 1))
+    assert z_image.order == ref_z.order == z_order
+
+
+def _whole_group(pres):
+    return todd_coxeter(pres, [Word.gen(g) for g in range(pres.ngens)])
+
+
+def test_subgroup_class2_carries_central_exponents():
+    # b*a^-2*z = 1 eliminates b = a^2*z^-1, so b^3 becomes a^6*z^-3
+    pres = parse_presentation("generators: a b\nb*a^-2\nb^3\n")
+    q = subgroup_class2(_whole_group(pres), pres, central=[1, 0])
+    assert q.n == 2
+    assert q.relator_images[0].a == (6, -3)
+    assert q.abelianization == AbelianInvariants(1, [3])
+    assert q.derived_part == AbelianInvariants(0, [])
+    assert q.image(Word.gen(1)).order is None
+    with pytest.raises(ValueError, match="central exponents"):
+        subgroup_class2(_whole_group(pres), pres, central=[1])
+
+
+def test_subgroup_class2_collapsed_relator_gives_z_finite_order():
+    # a*b^-1*z = 1 and a*b^-1*z^-1 = 1 leave z^-2 = 1 once a is eliminated:
+    # the second relator collapses to a power of z alone
+    pres = parse_presentation("generators: a b\na*b^-1\na*b^-1\n")
+    q = subgroup_class2(_whole_group(pres), pres, central=[1, -1])
+    assert q.n == 2
+    assert [e.a for e in q.relator_images[:1]] == [(0, -2)]
+    assert q.image(Word.gen(1)).order == 2
+    assert q.abelianization == AbelianInvariants(1, [2])
+    assert subgroup_class2(_whole_group(pres), pres).abelianization == \
+        AbelianInvariants(1, [])
+
+
+def test_subgroup_class2_duplicate_and_inverse_relators():
+    # a^3*z, a^-3*z^-1 and a^3*z^2: the first two are one relation, the
+    # third leaves z = 1 in the group of order 3
+    a3 = Word([(0, 3)])
+    pres = Presentation(["a"], [a3, a3.inv(), a3])
+    table = _whole_group(pres)
+    q = subgroup_class2(table, pres, central=[1, -1, 2])
+    assert q.image(Word.gen(1)).order == 1
+    assert q.abelianization == AbelianInvariants(0, [3])
+    # a^3*z and a^-3*z: z^2 = 1, a of order 6
+    pres = Presentation(["a"], [a3, a3.inv()])
+    q = subgroup_class2(table, pres, central=[1, 1])
+    assert q.image(Word.gen(1)).order == 2
+    assert q.image(Word.gen(0)).order == 6
+    # the subgroup of index 3: a^3 is its one Schreier generator
+    table = todd_coxeter(pres, [])
+    assert table.index == 3
+    q = subgroup_class2(table, pres, central=[1, 1] * 3)
+    assert q.n == 1 and q.image(Word.gen(0)).order == 2
+
+
+@st.composite
+def lifted_subgroup_case(draw):
+    """A small base group, central exponents, and subgroup words."""
+    a, b = Word.gen(0), Word.gen(1)
+    comm = a.inv() * b.inv() * a * b
+    base = draw(st.sampled_from([
+        Presentation(["a"], [a ** 6]),
+        Presentation(["a", "b"], [a ** 2, b ** 2, (a * b) ** 3]),
+        Presentation(["a", "b"], [a ** 2, b ** 3, (a * b) ** 3]),
+        Presentation(["a", "b"], [a ** 4, b ** 2, comm]),
+        Presentation(["a", "b"], [comm]),
+        Presentation(["a", "b"], [a ** 3, b ** 3, (a * b) ** 3]),
+    ]))
+    exps = draw(st.lists(st.integers(-3, 3), min_size=len(base.relators),
+                         max_size=len(base.relators)))
+    syllable = st.tuples(st.integers(0, base.ngens - 1),
+                         st.sampled_from([-2, -1, 1, 2, 3]))
+    words = draw(st.lists(st.lists(syllable, min_size=1, max_size=4)
+                          .map(Word), max_size=2))
+    # powers of every generator keep the index finite on the infinite bases
+    words += [Word.gen(g, draw(st.integers(2, 4))) for g in range(base.ngens)]
+    return LiftedPresentation(base, exps), words
+
+
+@given(lifted_subgroup_case())
+@settings(max_examples=200, deadline=None)
+def test_subgroup_class2_matches_unreduced_schreier_reference(case):
+    lp, words = case
+    try:
+        table = todd_coxeter(lp.base, words, max_cosets=64)
+    except EnumerationLimit:
+        table = None
+    assume(table is not None and table.index <= 8)
+    q = _preimage_quotient(lp, table)
+    ref_index, ref, ref_z = _reference_quotient(lp, words)
+    assert table.index == ref_index
+    assert q.abelianization == ref.abelianization
+    assert q.derived_part == ref.derived_part
+    assert q.image(Word.gen(q.n - 1)).order == ref_z.order
 
 
 # ---------------------------------------------------------------- properties
@@ -458,13 +536,15 @@ def _central_abelianization(pres, exps):
 
 @given(random_presentation(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_tietze_central_preserves_extension_abelianization(pres, data):
+def test_subgroup_routes_match_extension_abelianization(pres, data):
     n = len(pres.relators)
     exps = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    reduced, out = tietze_reduce(pres, central=exps)
-    assert len(out) == len(reduced.relators)
-    assert (_central_abelianization(reduced, out)
-            == _central_abelianization(pres, exps))
+    table = _whole_group(pres)
+    q = subgroup_class2(table, pres, central=exps)
+    assert q.abelianization == _central_abelianization(pres, exps)
+    assert subgroup_abelianization(table, pres) == pres.abelianization()
+    assert (subgroup_class2(table, pres).abelianization
+            == pres.abelianization())
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=6))

@@ -2,10 +2,8 @@
 
 import pytest
 
-from latcover.fpgroups import (Word, schreier_system, tietze_reduce,
-                               todd_coxeter)
-from latcover.nq2 import (class2_quotient, epsilon, preimage_presentation,
-                          rf_certificate)
+from latcover.fpgroups import Word, todd_coxeter
+from latcover.nq2 import epsilon, rf_certificate, subgroup_class2
 from latcover.presets import dm_lattice
 
 
@@ -25,9 +23,8 @@ def base_table(preset, words):
 
 
 @pytest.fixture(scope="module")
-def base_reduced(preset, base_table):
-    sub = schreier_system(base_table, preset.presentation).presentation
-    return tietze_reduce(sub, budget=200000)
+def base_quotient(preset, base_table):
+    return subgroup_class2(base_table, preset.presentation)
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +33,10 @@ def lifted(preset):
 
 
 @pytest.fixture(scope="module")
-def lifted_reduced(lifted, words):
-    return preimage_presentation(lifted, words, max_cosets=200000)
+def lifted_quotient(lifted, words):
+    table = todd_coxeter(lifted.base, words, max_cosets=200000)
+    return table.index, subgroup_class2(
+        table, lifted.base, central=lifted.exponents * table.index)
 
 
 def test_fixture_is_listed(preset):
@@ -63,8 +62,8 @@ def test_normality(base_table, preset, words):
     assert base_table.fixes_all_cosets(conjugates)
 
 
-def test_base_subgroup_quotient_ranks(base_reduced):
-    q = class2_quotient(base_reduced)
+def test_base_subgroup_quotient_ranks(base_quotient):
+    q = base_quotient
     assert q.abelianization.free_rank == 4
     assert q.derived_part.free_rank == 3
     # measured: the quotients carry no torsion at all
@@ -72,15 +71,14 @@ def test_base_subgroup_quotient_ranks(base_reduced):
     assert q.derived_part.describe() == "Z^3"
 
 
-def test_preimage_index_matches(lifted_reduced, base_table):
-    index, _ = lifted_reduced
+def test_preimage_index_matches(lifted_quotient, base_table):
+    index, _ = lifted_quotient
     assert index == base_table.index == 72
 
 
-def test_lifted_subgroup_quotient_ranks(lifted_reduced):
-    _, reduced = lifted_reduced
-    z_word = Word.gen(reduced.ngens - 1)
-    q = class2_quotient(reduced)
+def test_lifted_subgroup_quotient_ranks(lifted_quotient):
+    _, q = lifted_quotient
+    z_word = Word.gen(q.n - 1)
     assert q.abelianization.free_rank == 4
     assert q.derived_part.free_rank == 4
     image = q.image(z_word)
@@ -89,9 +87,9 @@ def test_lifted_subgroup_quotient_ranks(lifted_reduced):
     assert q.abelian_order(image.a) is not None
 
 
-def test_epsilon_is_one(base_reduced, lifted_reduced):
-    _, reduced = lifted_reduced
-    assert epsilon(base_reduced, reduced) == 1
+def test_epsilon_is_one(base_quotient, lifted_quotient):
+    _, q = lifted_quotient
+    assert epsilon(base_quotient, q) == 1
 
 
 def test_certificate_succeeds(lifted, words):

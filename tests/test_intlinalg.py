@@ -11,16 +11,14 @@ from latcover.intlinalg import (
     hnf,
     hnf_basis,
     in_rowspace,
-    kernel_basis,
     quotient_invariants,
     saturation_order,
     snf,
     snf_diagonal,
     solve_in_rowspace,
-    sublattice_with_zero_prefix,
 )
 
-from helpers_latcover import det
+from helpers_latcover import det, kernel_basis, sublattice_with_zero_prefix
 
 
 def _mat(rows):

@@ -15,7 +15,8 @@ from latcover.nq2 import (Certificate, ClassTwoElement, NQ2Image,
                           wedge_offsets, wedge_size)
 from latcover.pathlift import LiftedPresentation
 
-from helpers_latcover import picard_lattice, picard_presentation
+from helpers_latcover import (picard_lattice, picard_presentation,
+                              relation_rows)
 
 
 def words(n, max_syllables=6, max_exp=3):
@@ -126,7 +127,7 @@ def test_heisenberg_mod_three_invariants():
 def test_relation_rows_shape():
     pres = parse_presentation("generators: a b\na^2*b^-3\n")
     q = class2_quotient(pres)
-    rows = q.relation_rows()
+    rows = relation_rows(q)
     assert rows.cols == 2 + 1
     assert rows.data[0][:2] == [2, -3]
     assert len(rows.data) == 1 + len(q.center_basis)
@@ -511,13 +512,13 @@ def test_z_order_is_regauge_invariant():
 def test_epsilon_direct_product_is_zero():
     base = Presentation(["a", "b"], [])
     lifted = LiftedPresentation(base, []).to_presentation()
-    assert epsilon(base, lifted) == 0
+    assert epsilon(class2_quotient(base), class2_quotient(lifted)) == 0
 
 
 def test_epsilon_rejects_non_extension_pair():
     with pytest.raises(ValueError, match="cannot"):
-        epsilon(Presentation(["a", "b"], []),
-                Presentation(["a", "b", "c"], []))
+        epsilon(class2_quotient(Presentation(["a", "b"], [])),
+                class2_quotient(Presentation(["a", "b", "c"], [])))
 
 
 # ------------------------------------------------------------ certificates

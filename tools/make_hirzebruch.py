@@ -16,9 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from latcover.fpgroups import (EnumerationLimit, Word, format_word,
-                               schreier_system, tietze_reduce, todd_coxeter)
-from latcover.nq2 import class2_quotient
+from latcover.fpgroups import EnumerationLimit, Word, format_word, todd_coxeter
+from latcover.nq2 import subgroup_class2
 from latcover.presets import dm_lattice
 
 # ---------------------------------------------------------------- SL2(F3) x Z/3
@@ -203,11 +202,9 @@ def main():
         small = prune(pres, words)
         table = todd_coxeter(pres, small, max_cosets=200000)
         normal = table.fixes_all_cosets(small)
-        sub = schreier_system(table, pres).presentation
-        reduced = tietze_reduce(sub, budget=200000)
-        q = class2_quotient(reduced)
+        q = subgroup_class2(table, pres)
         print(f"kernel {n}: generators {len(small)}, index {table.index}, "
-              f"normal {normal}, schreier gens {sub.ngens} -> {reduced.ngens}, "
+              f"normal {normal}, surviving Schreier generators {q.n}, "
               f"ab {q.abelianization.describe()}, "
               f"derived {q.derived_part.describe()}")
         if (q.abelianization.free_rank == 4
