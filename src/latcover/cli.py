@@ -306,6 +306,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: --{knob.replace('_', '-')} must be positive",
                   file=sys.stderr)
             return EXIT_INPUT
+    if args.bits < 53:
+        print("error: --bits must be at least 53 (double precision)",
+              file=sys.stderr)
+        return EXIT_INPUT
     try:
         lattice, subgroup = _load_inputs(args)
     except (ValueError, FileNotFoundError, OSError) as exc:

@@ -401,7 +401,7 @@ class SchreierSystem:
     the Schreier generators."""
 
     __slots__ = ("presentation", "table", "_edge_index", "_tree",
-                 "transversal", "ambient_words")
+                 "transversal")
 
     def __init__(self, presentation: Presentation, table: CosetTable,
                  edge_index: Dict[Tuple[int, int], int],
@@ -411,12 +411,6 @@ class SchreierSystem:
         self._edge_index = edge_index
         self._tree = tree
         self.transversal = transversal
-        # Schreier generator (alpha, g) as an ambient word t_alpha g t_{alpha.g}^-1
-        self.ambient_words = [Word()] * len(edge_index)
-        for (alpha, g), k in edge_index.items():
-            target = table.step(alpha, g, 1)
-            self.ambient_words[k] = (
-                transversal[alpha] * Word.gen(g) * transversal[target].inv())
 
     def rewrite(self, word: Word, start: int = 0) -> Word:
         """Rewrite the trace of word starting at the given coset into Schreier

@@ -1,5 +1,5 @@
 """Exact integer lattice linear algebra: Hermite and Smith normal forms,
-kernels, membership and saturation tests over arbitrary-precision integers."""
+membership and saturation tests over arbitrary-precision integers."""
 
 from __future__ import annotations
 
@@ -99,18 +99,12 @@ def _coerce_rows(m) -> List[List[int]]:
     return [list(r) for r in m]
 
 
-def hnf(m) -> Tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form: returns (H, U) with H = U*m, U unimodular.
-
-    H is canonical: positive pivots, entries above each pivot reduced into
-    [0, pivot), zero rows at the bottom.
-    """
-    work = _coerce_rows(m)
+def _hnf_rows(work: List[List[int]], ncols: int) -> None:
+    """Hermite normal form (see `hnf`) of the first ncols columns, in place;
+    row operations span whole rows, so the columns past ncols record them."""
     nrows = len(work)
-    ncols = len(work[0]) if work else (m.cols if isinstance(m, IntMatrix) else 0)
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    width = len(work[0]) if work else 0
     pivot_row = 0
-    pivots = []
     for col in range(ncols):
         # gather candidate rows with a nonzero entry in this column
         live = [r for r in range(pivot_row, nrows) if work[r][col]]
@@ -125,42 +119,49 @@ def hnf(m) -> Tuple[IntMatrix, IntMatrix]:
                 q = work[r][col] // bval
                 if q:
                     wr, wb = work[r], work[base]
-                    for j in range(col, ncols):
+                    for j in range(col, width):
                         wr[j] -= q * wb[j]
-                    ur, ub = u[r], u[base]
-                    for j in range(nrows):
-                        ur[j] -= q * ub[j]
                 if work[r][col]:
                     remaining.append(r)
             live = remaining
         r = live[0]
         if r != pivot_row:
             work[r], work[pivot_row] = work[pivot_row], work[r]
-            u[r], u[pivot_row] = u[pivot_row], u[r]
         if work[pivot_row][col] < 0:
             work[pivot_row] = [-x for x in work[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
         piv = work[pivot_row][col]
         for r in range(pivot_row):
             q = work[r][col] // piv
             if q:
                 wr, wp = work[r], work[pivot_row]
-                for j in range(col, ncols):
+                for j in range(col, width):
                     wr[j] -= q * wp[j]
-                ur, up = u[r], u[pivot_row]
-                for j in range(nrows):
-                    ur[j] -= q * up[j]
-        pivots.append(col)
         pivot_row += 1
         if pivot_row == nrows:
             break
-    return IntMatrix(nrows, ncols, work), IntMatrix(nrows, nrows, u)
+
+
+def hnf(m) -> Tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form: returns (H, U) with H = U*m, U unimodular.
+
+    H is canonical: positive pivots, entries above each pivot reduced into
+    [0, pivot), zero rows at the bottom.
+    """
+    rows = _coerce_rows(m)
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else _ncols_of(m)
+    work = [row + [int(i == j) for j in range(nrows)]
+            for i, row in enumerate(rows)]
+    _hnf_rows(work, ncols)
+    return (IntMatrix(nrows, ncols, [row[:ncols] for row in work]),
+            IntMatrix(nrows, nrows, [row[ncols:] for row in work]))
 
 
 def hnf_basis(m) -> List[List[int]]:
     """Nonzero rows of the HNF of m (a basis of its row space)."""
-    h, _ = hnf(m)
-    return [row for row in h.data if any(row)]
+    work = _coerce_rows(m)
+    _hnf_rows(work, len(work[0]) if work else 0)
+    return [row for row in work if any(row)]
 
 
 def snf(m) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -353,28 +354,3 @@ def _rational_combination(v: Sequence[int], basis: Sequence[Sequence[int]]) -> O
     if any(v):
         return None
     return coeffs
-
-
-def solve_in_rowspace(target: Sequence[int], h: IntMatrix, u: IntMatrix) -> Optional[List[int]]:
-    """Given (H, U) = hnf(A), return integer c with c*A = target, or None."""
-    y = [0] * h.rows
-    v = list(target)
-    for i, row in enumerate(h.data):
-        p = _pivot_col(row)
-        if p < 0:
-            continue
-        if v[p] % row[p]:
-            return None
-        q = v[p] // row[p]
-        y[i] = q
-        if q:
-            for j in range(p, len(v)):
-                v[j] -= q * row[j]
-    if any(v):
-        return None
-    out = [0] * u.cols
-    for i, yi in enumerate(y):
-        if yi:
-            for j, uij in enumerate(u.data[i]):
-                out[j] += yi * uij
-    return out

@@ -10,9 +10,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fpgroups import (CosetTable, Presentation, Word, format_word,
                        schreier_system, serialize_presentation, todd_coxeter)
-from .intlinalg import (AbelianInvariants, IntMatrix, hnf, hnf_basis,
-                        in_rowspace, quotient_invariants, saturation_order,
-                        solve_in_rowspace)
+from .intlinalg import (AbelianInvariants, hnf_basis, in_rowspace,
+                        quotient_invariants, saturation_order)
 
 
 # Largest wedge coordinate count NQ2 accepts (50 generators): its center
@@ -34,6 +33,34 @@ def _check_wedge_size(n: int) -> None:
 def wedge_offsets(n: int) -> List[int]:
     """Start of the (i, *) block inside the lexicographic (i<j) pair order."""
     return [i * (2 * n - i - 1) // 2 for i in range(n)]
+
+
+def _collect(word, images, n: int) -> Tuple[List[int], List[int]]:
+    """Collected (a, m) of the product of images[g]^e over the syllables
+    (g, e) of word, in the free class-2 group on n generators; an image is
+    an (a, m) pair, m None meaning zero."""
+    a = [0] * n
+    m = [0] * wedge_size(n)
+    for g, e in word:
+        b, mg = images[g]
+        half = e * (e - 1) // 2
+        pos = 0
+        for i in range(n):
+            bi = b[i]
+            if bi:
+                # x^e is (e*b, e*m_x - half*b_i*b_j); right-multiplying by it
+                # passes e*b_i across a_j for every j > i
+                for j in range(i + 1, n):
+                    t = e * a[j] + half * b[j]
+                    if t:
+                        m[pos + j - i - 1] -= bi * t
+            pos += n - i - 1
+        for i in range(n):
+            a[i] += e * b[i]
+        if mg is not None:
+            for k, x in enumerate(mg):
+                m[k] += e * x
+    return a, m
 
 
 class ClassTwoElement:
@@ -58,59 +85,24 @@ class ClassTwoElement:
     @staticmethod
     def from_word(n: int, word: Word) -> "ClassTwoElement":
         """Collect a free word left to right."""
-        a = [0] * n
-        m = [0] * wedge_size(n)
-        offs = wedge_offsets(n)
-        for g, e in word.syllables:
+        for g, _ in word.syllables:
             if not 0 <= g < n:
                 raise ValueError(f"word uses generator {g} outside rank {n}")
-            # right-multiply by x_g^e: passing x_g^e left across x_j^a_j
-            # (j > g) deposits c_gj^(-e*a_j)
-            base = offs[g] - g - 1
-            for j in range(g + 1, n):
-                if a[j]:
-                    m[base + j] -= e * a[j]
-            a[g] += e
-        return ClassTwoElement(n, a, m)
-
-    def _self_twist(self) -> List[int]:
-        """Collection correction of squaring: entries -a_j*a_i for i<j."""
-        n, a = self.n, self.a
-        out = [0] * wedge_size(n)
-        pos = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[pos] = -a[j] * a[i]
-                pos += 1
-        return out
+        units = [([int(i == g) for i in range(n)], None) for g in range(n)]
+        return ClassTwoElement(n, *_collect(word.syllables, units, n))
 
     def __mul__(self, other: "ClassTwoElement") -> "ClassTwoElement":
         if self.n != other.n:
             raise ValueError(f"rank mismatch {self.n} != {other.n}")
-        n = self.n
-        a = [x + y for x, y in zip(self.a, other.a)]
-        m = [x + y for x, y in zip(self.m, other.m)]
-        pos = 0
-        for i in range(n):
-            bi = other.a[i]
-            for j in range(i + 1, n):
-                if bi and self.a[j]:
-                    m[pos] -= self.a[j] * bi
-                pos += 1
-        return ClassTwoElement(n, a, m)
+        return ClassTwoElement(self.n, *_collect(
+            ((0, 1), (1, 1)), ((self.a, self.m), (other.a, other.m)), self.n))
 
     def inv(self) -> "ClassTwoElement":
-        twist = self._self_twist()
-        return ClassTwoElement(self.n, [-x for x in self.a],
-                               [t - x for x, t in zip(self.m, twist)])
+        return self ** -1
 
     def __pow__(self, k: int) -> "ClassTwoElement":
-        k = int(k)
-        half = k * (k - 1) // 2
-        twist = self._self_twist()
-        return ClassTwoElement(self.n, [k * x for x in self.a],
-                               [k * x + half * t
-                                for x, t in zip(self.m, twist)])
+        return ClassTwoElement(self.n, *_collect(
+            ((0, int(k)),), ((self.a, self.m),), self.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassTwoElement):
@@ -133,16 +125,6 @@ def _unit_wedge(n: int, v: Sequence[int], k: int) -> List[int]:
     base = offs[k] - k - 1
     for j in range(k + 1, n):
         out[base + j] = -v[j]
-    return out
-
-
-def _power_product(factors: Sequence[ClassTwoElement], coeffs: Sequence[int],
-                   n: int) -> ClassTwoElement:
-    """Collected value of factors[0]^c_0 * factors[1]^c_1 * ... in index order."""
-    out = ClassTwoElement.identity(n)
-    for elt, c in zip(factors, coeffs):
-        if c:
-            out = out * elt ** c
     return out
 
 
@@ -176,51 +158,59 @@ class NQ2:
     """Maximal class-2 nilpotent quotient of a finitely presented group.
 
     The quotient is the free class-2 group on n generators modulo the
-    normal closure of the relator images (collected relators, see
-    `class2_quotient` and `subgroup_class2`).  That closure meets
-    the center in the lattice spanned by every relator-abelianization wedge
-    h_i ^ e_k together with the collected values of the relator combinations
-    whose abelianized rows cancel; membership and order tests reduce against
-    that lattice after matching the generator-block coordinates.
+    normal closure N of the relator images (collected relators, see
+    `class2_quotient` and `subgroup_class2`).  Euclid steps on the images'
+    generator blocks, done as group operations, leave one pivot per leading
+    column and central remainders.  N is the pivots' products times the
+    center lattice spanned by the remainders and every wedge h ^ e_k of a
+    pivot's generator block h (its commutator with x_k); membership and
+    order tests reduce against the pivots in column order, then against
+    that lattice (Sims, Computation with Finitely Presented Groups, ch. 11).
     """
 
-    __slots__ = ("n", "relator_images", "_ah", "_au", "_abasis",
+    __slots__ = ("n", "relator_images", "_pivots", "_abasis",
                  "center_basis", "abelianization", "derived_part")
 
     def __init__(self, n: int, relator_images: Sequence[ClassTwoElement]):
         self.n = n
         self.relator_images = tuple(relator_images)
-        amat = IntMatrix.from_rows([list(e.a) for e in self.relator_images],
-                                   cols=n)
-        self._ah, self._au = hnf(amat)
-        self._abasis = [row for row in self._ah.data if any(row)]
+        pivots: Dict[int, ClassTwoElement] = {}
         center_rows: List[List[int]] = []
+        for elt in self.relator_images:
+            for c in range(n):
+                if not elt.a[c]:
+                    continue
+                top = pivots.get(c)
+                if top is None:
+                    pivots[c] = elt if elt.a[c] > 0 else elt.inv()
+                    break
+                # the remainder has a zero here and goes on to later columns
+                while elt.a[c]:
+                    top, elt = elt, top * elt ** -(top.a[c] // elt.a[c])
+                pivots[c] = top if top.a[c] > 0 else top.inv()
+            else:
+                if any(elt.m):
+                    center_rows.append(list(elt.m))
+        self._pivots = sorted(pivots.items())
+        self._abasis = [p.a for _, p in self._pivots]
         for h in self._abasis:
             for k in range(n):
                 row = _unit_wedge(n, h, k)
                 if any(row):
                     center_rows.append(row)
-        for i, hrow in enumerate(self._ah.data):
-            if any(hrow):
-                continue
-            combo = _power_product(self.relator_images, self._au.data[i], n)
-            assert not any(combo.a)
-            if any(combo.m):
-                center_rows.append(list(combo.m))
-        self.center_basis = hnf_basis(
-            IntMatrix.from_rows(center_rows, cols=wedge_size(n)))
+        self.center_basis = hnf_basis(center_rows)
         self.abelianization = quotient_invariants(n, self._abasis)
         self.derived_part = quotient_invariants(wedge_size(n),
                                                 self.center_basis)
 
     def _central_residue(self, elt: ClassTwoElement) -> Optional[List[int]]:
-        """Center coordinates of elt relative to the relator combination with
-        the same generator block, or None when no such combination exists."""
-        coeffs = solve_in_rowspace(list(elt.a), self._ah, self._au)
-        if coeffs is None:
-            return None
-        ref = _power_product(self.relator_images, coeffs, self.n)
-        return [x - y for x, y in zip(elt.m, ref.m)]
+        """Center coordinates of elt reduced by the pivots in column order,
+        or None when the pivots cannot clear its generator block."""
+        for c, p in self._pivots:
+            q = elt.a[c] // p.a[c]
+            if q:
+                elt = elt * p ** -q
+        return None if any(elt.a) else list(elt.m)
 
     def is_trivial(self, elt: ClassTwoElement) -> bool:
         """Does this free class-2 element map to the identity?"""
@@ -356,35 +346,6 @@ class _SchreierElimination:
         pivot_rows = {p for _, p, _ in self.pivots}
         return [(i, row) for i, row in enumerate(self.rows)
                 if i not in pivot_rows]
-
-
-def _collect(word, images: Dict[int, Tuple[List[int], Optional[List[int]]]],
-             n: int) -> Tuple[List[int], List[int]]:
-    """Collected (a, m) of the product of images[g]^e over the syllables
-    (g, e) of word, in the free class-2 group on n generators; an image is
-    an (a, m) pair, m None meaning zero."""
-    a = [0] * n
-    m = [0] * wedge_size(n)
-    for g, e in word:
-        b, mg = images[g]
-        half = e * (e - 1) // 2
-        pos = 0
-        for i in range(n):
-            bi = b[i]
-            if bi:
-                # x^e is (e*b, e*m_x - half*b_i*b_j); right-multiplying by it
-                # passes e*b_i across a_j for every j > i
-                for j in range(i + 1, n):
-                    t = e * a[j] + half * b[j]
-                    if t:
-                        m[pos + j - i - 1] -= bi * t
-            pos += n - i - 1
-        for i in range(n):
-            a[i] += e * b[i]
-        if mg is not None:
-            for k, x in enumerate(mg):
-                m[k] += e * x
-    return a, m
 
 
 def _back_substitute(elim: _SchreierElimination,

@@ -5,8 +5,9 @@ from fractions import Fraction
 from latcover.exactnum import (CycloElt, cyclotomic_polynomial, to_literal,
                                zeta)
 from latcover.fpgroups import Presentation, Word, braid_relator
-from latcover.intlinalg import IntMatrix, hnf
-from latcover.nq2 import wedge_size
+from latcover.intlinalg import (IntMatrix, hnf, hnf_basis,
+                                quotient_invariants, saturation_order)
+from latcover.nq2 import ClassTwoElement, _unit_wedge, wedge_size
 from latcover.presets import Lattice
 from latcover.su21 import GroupMatrix, HermitianForm, scale_to_su
 
@@ -71,6 +72,73 @@ def relation_rows(q):
     rows = [list(e.a) + list(e.m) for e in q.relator_images]
     rows += [[0] * q.n + list(r) for r in q.center_basis]
     return IntMatrix.from_rows(rows, cols=q.n + wedge_size(q.n))
+
+
+def solve_in_rowspace(target, h, u):
+    """Given (H, U) = hnf(A), return integer c with c*A = target, or None."""
+    y = [0] * h.rows
+    v = list(target)
+    for i, row in enumerate(h.data):
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            continue
+        if v[p] % row[p]:
+            return None
+        y[i] = q = v[p] // row[p]
+        if q:
+            for j in range(p, len(v)):
+                v[j] -= q * row[j]
+    if any(v):
+        return None
+    return [sum(yi * u.data[i][j] for i, yi in enumerate(y))
+            for j in range(u.cols)]
+
+
+class TransformNQ2:
+    """Class-2 quotient through the HNF transform of the relator images'
+    generator blocks: the reference for NQ2's echelon of group elements.
+
+    Every zero row of the HNF gives a relator product, in index order,
+    whose generator block cancels; its m-part is a central relation.  A
+    query's residue is taken against the relator product, in index order,
+    with the query's generator block."""
+
+    def __init__(self, n, relator_images):
+        self.n = n
+        self.images = list(relator_images)
+        self.h, self.u = hnf(IntMatrix.from_rows(
+            [list(e.a) for e in self.images], cols=n))
+        self.abasis = [row for row in self.h.data if any(row)]
+        rows = [_unit_wedge(n, h, k) for h in self.abasis for k in range(n)]
+        rows += [list(self._product(urow).m)
+                 for hrow, urow in zip(self.h.data, self.u.data)
+                 if not any(hrow)]
+        self.center_basis = hnf_basis(
+            IntMatrix.from_rows(rows, cols=wedge_size(n)))
+        self.abelianization = quotient_invariants(n, self.abasis)
+        self.derived_part = quotient_invariants(wedge_size(n),
+                                                self.center_basis)
+
+    def _product(self, coeffs):
+        out = ClassTwoElement.identity(self.n)
+        for elt, c in zip(self.images, coeffs):
+            if c:
+                out = out * elt ** c
+        return out
+
+    def central_residue(self, elt):
+        coeffs = solve_in_rowspace(list(elt.a), self.h, self.u)
+        if coeffs is None:
+            return None
+        return [x - y for x, y in zip(elt.m, self._product(coeffs).m)]
+
+    def order_of(self, elt):
+        d1 = saturation_order(list(elt.a), self.abasis)
+        if d1 is None:
+            return None
+        d2 = saturation_order(self.central_residue(elt ** d1),
+                              self.center_basis)
+        return None if d2 is None else d1 * d2
 
 
 def serialize_matrix_file(conductor, form, matrices):

@@ -234,6 +234,26 @@ def test_output_matches_benchmark_golden(capsys, golden, argv):
     assert out == (GOLDEN / f"{golden}.txt").read_text()
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["certify", "--preset", PRESET1, "--subgroup", "hirzebruch"],
+     (GOLDEN / "certify-hirzebruch.txt").read_text()),
+    (["nq2", "--preset", PRESET1, "--subgroup", "hirzebruch"],
+     "abelianization: Z^4\nderived part: Z^3\n"),
+    (["nq2", "--preset", PRESET1],
+     "abelianization: Z/3 x Z/3\nderived part: trivial\n"),
+], ids=["certify-hirzebruch", "nq2-hirzebruch", "nq2-whole-group"])
+def test_class2_quotients_need_no_hnf_transform(capsys, monkeypatch, argv,
+                                                expected):
+    import latcover.intlinalg as intlinalg
+
+    def unexpected(*args):
+        raise AssertionError("hnf with a transform was called")
+
+    monkeypatch.setattr(intlinalg, "hnf", unexpected)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (0, expected, "")
+
+
 def test_subpres_reduces_to_four_generators(capsys):
     rc, out, _ = run(capsys, "subpres", "--preset", PRESET1,
                      "--subgroup", "hirzebruch")
@@ -485,6 +505,19 @@ def test_nonpositive_samples_exits_2(capsys):
                        "--word", "b^9", "--samples", "0")
     assert rc == 2
     assert "positive" in err
+
+
+def test_bits_below_double_precision_exits_2(capsys, monkeypatch):
+    import latcover.cli as cli
+
+    def unexpected(*args):
+        raise AssertionError("the preset loaded before the --bits check")
+
+    monkeypatch.setattr(cli, "dm_lattice", unexpected)
+    rc, out, err = run(capsys, "verify", "--preset", PRESET1, "--bits", "40")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --bits must be at least 53 (double precision)\n"
 
 
 def test_verify_needs_preset_exits_2(capsys, preset1_dir):

@@ -221,9 +221,17 @@ def test_schreier_transversal_and_rewriting():
     b = Word.gen(1)
     table = todd_coxeter(pres, [b])
     system = schreier_system(table, pres)
-    for coset, t in enumerate(system.transversal):
-        assert table.trace(0, t) == coset
-    for word in system.ambient_words:
+    t = system.transversal
+    for coset, word in enumerate(t):
+        assert table.trace(0, word) == coset
+    # Schreier generator (alpha, g) is t_alpha g t_{alpha.g}^-1; the
+    # generators run over the non-tree edges in (alpha, g) order, and the
+    # tree edges are exactly those whose word reduces to the identity
+    ambient = [t[alpha] * Word.gen(g) * t[table.step(alpha, g, 1)].inv()
+               for alpha in range(table.index) for g in range(pres.ngens)]
+    ambient = [word for word in ambient if not word.is_identity]
+    assert len(ambient) == system.presentation.ngens
+    for word in ambient:
         assert table.trace(0, word) == 0
     # rewriting the subgroup generator expresses it in Schreier generators,
     # and re-expanding lands on the same group element (regular-action check)
@@ -231,7 +239,7 @@ def test_schreier_transversal_and_rewriting():
     rewritten = system.rewrite(b)
     expanded = Word()
     for g, e in rewritten.syllables:
-        expanded = expanded * system.ambient_words[g] ** e
+        expanded = expanded * ambient[g] ** e
     for c in range(regular.index):
         assert regular.trace(c, expanded) == regular.trace(c, b)
 

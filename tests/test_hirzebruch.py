@@ -3,7 +3,9 @@
 import pytest
 
 from latcover.fpgroups import Word, todd_coxeter
-from latcover.nq2 import epsilon, rf_certificate, subgroup_class2
+from latcover.intlinalg import hnf_basis, in_rowspace
+from latcover.nq2 import (ClassTwoElement, epsilon, rf_certificate,
+                          subgroup_class2)
 from latcover.presets import dm_lattice
 
 
@@ -85,6 +87,24 @@ def test_lifted_subgroup_quotient_ranks(lifted_quotient):
     assert image.order is None
     # z dies in the abelianization but survives in the derived part
     assert q.abelian_order(image.a) is not None
+
+
+def test_z_cubed_residue_divisibility(lifted_quotient):
+    # the stretch check's divisibility test at index 72: z^3's central
+    # residue is 3 times a primitive element modulo the relation lattice
+    _, q = lifted_quotient
+    z = ClassTwoElement.from_word(q.n, Word.gen(q.n - 1))
+    cubed = q._central_residue(z ** 3)
+    assert cubed is not None
+    width = len(cubed)
+    relations = [list(row) for row in q.center_basis]
+
+    def divisible(d):
+        lattice = [[d if i == j else 0 for j in range(width)]
+                   for i in range(width)] + relations
+        return in_rowspace(cubed, hnf_basis(lattice))
+
+    assert [d for d in range(1, 41) if divisible(d)] == [1, 3]
 
 
 def test_epsilon_is_one(base_quotient, lifted_quotient):

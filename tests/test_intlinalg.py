@@ -15,10 +15,10 @@ from latcover.intlinalg import (
     saturation_order,
     snf,
     snf_diagonal,
-    solve_in_rowspace,
 )
 
-from helpers_latcover import det, kernel_basis, sublattice_with_zero_prefix
+from helpers_latcover import (det, kernel_basis, solve_in_rowspace,
+                              sublattice_with_zero_prefix)
 
 
 def _mat(rows):

@@ -9,14 +9,14 @@ import pytest
 
 from latcover.fpgroups import (Presentation, Word, parse_presentation,
                                schreier_system, todd_coxeter)
-from latcover.intlinalg import AbelianInvariants
-from latcover.nq2 import (Certificate, ClassTwoElement, NQ2Image,
+from latcover.intlinalg import AbelianInvariants, in_rowspace
+from latcover.nq2 import (NQ2, Certificate, ClassTwoElement, NQ2Image,
                           class2_quotient, epsilon, rf_certificate,
                           wedge_offsets, wedge_size)
 from latcover.pathlift import LiftedPresentation
 
-from helpers_latcover import (picard_lattice, picard_presentation,
-                              relation_rows)
+from helpers_latcover import (TransformNQ2, picard_lattice,
+                              picard_presentation, relation_rows)
 
 
 def words(n, max_syllables=6, max_exp=3):
@@ -185,6 +185,45 @@ def test_order_agrees_with_direct_power_search(rels, query):
         assert order == found
     else:
         assert order is None or order > 200
+
+
+@st.composite
+def presentations_with_query(draw):
+    """Relators mix plain words, commutators and powers, so that many
+    presentations leave central remainders outside the pivots' wedges."""
+    n = draw(st.integers(1, 4))
+    word = words(n, max_syllables=4, max_exp=3)
+    relator = st.one_of(
+        word,
+        st.tuples(word, word).map(
+            lambda uv: uv[0].inv() * uv[1].inv() * uv[0] * uv[1]),
+        st.tuples(word, st.integers(2, 4)).map(lambda wk: wk[0] ** wk[1]))
+    rels = draw(st.lists(relator, max_size=5))
+    return n, rels, draw(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations_with_query())
+def test_echelon_matches_hnf_transform_reference(case):
+    n, rels, query = case
+    images = [ClassTwoElement.from_word(n, rel) for rel in rels]
+    q = NQ2(n, images)
+    ref = TransformNQ2(n, images)
+    assert q.abelianization == ref.abelianization
+    assert q.derived_part == ref.derived_part
+    assert q.center_basis == ref.center_basis
+    elt = ClassTwoElement.from_word(n, query)
+    assert q.order_of(elt) == ref.order_of(elt)
+    d1 = q.abelian_order(elt.a)
+    checks = [elt] + ([elt ** d1] if d1 is not None else [])
+    for x in checks:
+        mine, theirs = q._central_residue(x), ref.central_residue(x)
+        assert (mine is None) == (theirs is None)
+        if mine is not None:
+            diff = [a - b for a, b in zip(mine, theirs)]
+            assert in_rowspace(diff, q.center_basis)
+    if d1 is not None:
+        assert mine is not None
 
 
 # ------------------------------------------- oracle: enumerated finite groups
