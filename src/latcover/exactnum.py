@@ -190,19 +190,19 @@ class CycloElt:
     __rmul__ = __mul__
 
     def inv(self) -> "CycloElt":
-        """Multiplicative inverse via extended gcd with Phi_n."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        of self, divided by the rational norm (self times that product)."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 = gcd, a nonzero constant since Phi_n is irreducible
-        g = next(c for c in reversed(r0) if c != 0)
-        return CycloElt(self.n, [c / g for c in s0])
+        rest = CycloElt.one(self.n)
+        for k in range(2, self.n):
+            if gcd(k, self.n) == 1:
+                rest = rest * self._galois(k)
+        norm = self * rest
+        p, q = norm.num[0], norm.den
+        if p < 0:
+            p, q = -p, -q
+        return CycloElt._of(self.n, [c * q for c in rest.num], rest.den * p)
 
     def __truediv__(self, other) -> "CycloElt":
         return self * _coerce(other, self.n).inv()
@@ -232,28 +232,23 @@ class CycloElt:
 
     __hash__ = None  # equality crosses conductors; no cheap canonical hash
 
+    def _galois(self, k: int) -> "CycloElt":
+        """Image under the automorphism zeta_n -> zeta_n^k, gcd(k, n) = 1."""
+        out = [0] * self.n
+        for j, c in enumerate(self.num):
+            out[j * k % self.n] = c
+        return CycloElt._of(self.n, out, self.den)
+
     def conjugate(self) -> "CycloElt":
         """Complex conjugation, zeta_n^k -> zeta_n^(n-k)."""
-        out = [0] * self.n
-        for k, c in enumerate(self.num):
-            out[-k % self.n] = c
-        return CycloElt._of(self.n, out, self.den)
+        return self._galois(-1)
 
     def root_of_unity_exponent(self) -> Optional[Tuple[int, int]]:
         """Return (M, a) with self = zeta_M^a and M = lcm(2, n), else None."""
-        if self.is_zero:
-            return None
         m = self.n if self.n % 2 == 0 else 2 * self.n
-        if m == 1:
-            m = 2
-        if (self ** m) != 1:
-            return None
-        arg = mpmath.arg(embed_complex(self, 64))
-        a = int(mpmath.nint(arg * m / (2 * mpmath.pi))) % m
-        if self != zeta_power(m, a):
-            raise ArithmeticError(f"64-bit embedding misplaced {self!r} among "
-                                  f"the {m}-th roots of unity")
-        return (m, a)
+        lifted = self.promote(m)
+        return next(((m, a) for a in range(m) if lifted == zeta_power(m, a)),
+                    None)
 
     def __repr__(self) -> str:
         return f"CycloElt({self.n}, {to_literal(self)!r})"
@@ -267,45 +262,9 @@ def _coerce(value, n: int) -> CycloElt:
     raise TypeError(f"cannot interpret {value!r} as a cyclotomic element")
 
 
-def _poly_divmod(num: list, den: list) -> Tuple[list, list]:
-    num = list(num)
-    while den and den[-1] == 0:
-        den = den[:-1]
-    dd = len(den) - 1
-    if dd < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(num) - 1 < dd:
-        return [Fraction(0)], num
-    quot = [Fraction(0)] * (len(num) - dd)
-    for k in range(len(quot) - 1, -1, -1):
-        c = num[k + dd] / den[-1]
-        quot[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    rem = num[:dd] or [Fraction(0)]
-    return quot, rem
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
 def zeta(n: int, k: int = 1) -> CycloElt:
     """Primitive n-th root of unity zeta_n^k."""
-    return CycloElt(n, [Fraction(0)] * (k % n) + [Fraction(1)])
+    return CycloElt._of(n, [0] * (k % n) + [1], 1)
 
 
 def zeta_power(m: int, a: int) -> CycloElt:

@@ -58,10 +58,7 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return self.inv() ** (-k)
-        out = Word()
-        for _ in range(k):
-            out = out * self
-        return out
+        return Word(self.syllables * k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Word):
@@ -77,6 +74,13 @@ class Word:
         for g, e in self.syllables:
             step = 1 if e > 0 else -1
             out.extend([(g, step)] * abs(e))
+        return out
+
+    def columns(self) -> List[int]:
+        """Expand to coset-table columns: 2g for g, 2g+1 for g^-1."""
+        out = []
+        for g, e in self.syllables:
+            out.extend([2 * g + (e < 0)] * abs(e))
         return out
 
     def exponent_sum(self, gen: int) -> int:
@@ -213,38 +217,41 @@ class CosetTable:
     """Completed coset table: rows are cosets, columns alternate generator and
     inverse (column 2g acts by generator g, column 2g+1 by its inverse)."""
 
-    __slots__ = ("ngens", "table", "complete")
+    __slots__ = ("ngens", "table")
 
-    def __init__(self, ngens: int, table: List[List[int]], complete: bool):
+    def __init__(self, ngens: int, table: List[List[int]]):
         self.ngens = ngens
         self.table = table
-        self.complete = complete
 
     @property
     def index(self) -> int:
         return len(self.table)
 
-    def step(self, coset: int, gen: int, sign: int) -> int:
-        return self.table[coset][2 * gen + (0 if sign > 0 else 1)]
-
     def trace(self, coset: int, word: Word) -> int:
-        for g, s in word.letters():
-            coset = self.step(coset, g, s)
+        for x in word.columns():
+            coset = self.table[coset][x]
         return coset
 
     def validates(self, pres: Presentation, subgroup_gens: Sequence[Word]) -> bool:
         """Every relator fixes every coset; subgroup generators fix coset 0."""
-        for rel in pres.relators:
-            for alpha in range(self.index):
-                if self.trace(alpha, rel) != alpha:
-                    return False
-        return all(self.trace(0, w) == 0 for w in subgroup_gens)
+        return (self.fixes_all_cosets(pres.relators)
+                and all(self.trace(0, w) == 0 for w in subgroup_gens))
 
     def fixes_all_cosets(self, words: Sequence[Word]) -> bool:
         """True iff each word fixes every coset; for subgroup generators this
-        is exactly normality of the subgroup they generate."""
-        return all(self.trace(alpha, w) == alpha
-                   for w in words for alpha in range(self.index))
+        is exactly normality of the subgroup they generate.  Each word is
+        expanded once and walked from all cosets together, one column at a
+        time."""
+        start = list(range(self.index))
+        columns = list(zip(*self.table))
+        for w in words:
+            image = start
+            for x in w.columns():
+                col = columns[x]
+                image = [col[c] for c in image]
+            if image != start:
+                return False
+        return True
 
 
 def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Word] = (),
@@ -259,10 +266,8 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Word] = (),
                                f"letters, over the limit of {MAX_WORD_LETTERS}")
     d = pres.ngens
     ncols = 2 * d
-    relator_paths = [[(2 * g if s > 0 else 2 * g + 1) for g, s in rel.letters()]
-                     for rel in pres.relators]
-    subgroup_paths = [[(2 * g if s > 0 else 2 * g + 1) for g, s in w.letters()]
-                      for w in subgroup_gens]
+    relator_paths = [rel.columns() for rel in pres.relators]
+    subgroup_paths = [w.columns() for w in subgroup_gens]
 
     table: List[List[Optional[int]]] = [[None] * ncols]
     parent = [0]
@@ -367,29 +372,18 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Word] = (),
                     define(alpha, x)
         alpha += 1
 
-    # compact: renumber live cosets in discovery order
-    live = [k for k in range(len(table)) if rep(k) == k]
-    renum = {old: new for new, old in enumerate(live)}
-    compact = [[renum[rep(table[old][x])] for x in range(ncols)] for old in live]
-
-    # standardize: relabel so cosets appear in breadth-first scan order
-    order: List[int] = [0]
-    seen = {0}
-    q = deque([0])
-    while q:
-        c = q.popleft()
+    # standardize: relabel the live cosets in breadth-first scan order
+    order = [0]
+    relabel = {0: 0}
+    for c in order:
         for x in range(ncols):
-            nxt = compact[c][x]
-            if nxt not in seen:
-                seen.add(nxt)
+            nxt = rep(table[c][x])
+            if nxt not in relabel:
+                relabel[nxt] = len(order)
                 order.append(nxt)
-                q.append(nxt)
-    relabel = {old: new for new, old in enumerate(order)}
-    final = [[0] * ncols for _ in order]
-    for old, new in relabel.items():
-        final[new] = [relabel[compact[old][x]] for x in range(ncols)]
+    final = [[relabel[rep(table[c][x])] for x in range(ncols)] for c in order]
 
-    result = CosetTable(d, final, True)
+    result = CosetTable(d, final)
     if not result.validates(pres, subgroup_gens):
         raise AssertionError("enumeration produced an invalid table")
     return result
@@ -400,42 +394,41 @@ class SchreierSystem:
     expresses any subgroup element (as a word in the ambient generators) in
     the Schreier generators."""
 
-    __slots__ = ("presentation", "table", "_edge_index", "_tree",
-                 "transversal")
+    __slots__ = ("presentation", "table", "_edge_index", "transversal")
 
     def __init__(self, presentation: Presentation, table: CosetTable,
                  edge_index: Dict[Tuple[int, int], int],
-                 tree: set, transversal: List[Word]):
+                 transversal: List[Word]):
         self.presentation = presentation
         self.table = table
         self._edge_index = edge_index
-        self._tree = tree
         self.transversal = transversal
 
     def rewrite(self, word: Word, start: int = 0) -> Word:
         """Rewrite the trace of word starting at the given coset into Schreier
         generators; for start=0 the word must lie in the subgroup."""
+        # a generator edge (coset, g) is crossed forward from coset by
+        # column 2g and backward into coset by column 2g+1; tree edges have
+        # no Schreier generator
         out = []
         beta = start
-        for g, s in word.letters():
-            if s > 0:
-                edge = (beta, g)
-                if edge not in self._tree:
-                    out.append((self._edge_index[edge], 1))
-                beta = self.table.step(beta, g, 1)
+        for x in word.columns():
+            if x & 1:
+                beta = self.table.table[beta][x]
+                s = self._edge_index.get((beta, x >> 1))
+                if s is not None:
+                    out.append((s, -1))
             else:
-                beta = self.table.step(beta, g, -1)
-                edge = (beta, g)
-                if edge not in self._tree:
-                    out.append((self._edge_index[edge], -1))
+                s = self._edge_index.get((beta, x >> 1))
+                if s is not None:
+                    out.append((s, 1))
+                beta = self.table.table[beta][x]
         return Word(out)
 
 
 def schreier_system(table: CosetTable, pres: Presentation) -> SchreierSystem:
     """Build the Reidemeister-Schreier presentation of the subgroup whose
     cosets the table enumerates, with rewriting data."""
-    if not table.complete:
-        raise ValueError("coset table must be complete")
     ncols = 2 * table.ngens
     # breadth-first Schreier tree from coset 0; geometric edges normalized to
     # their generator-column orientation (coset, gen)
@@ -465,7 +458,7 @@ def schreier_system(table: CosetTable, pres: Presentation) -> SchreierSystem:
                 edge_index[edge] = len(names)
                 names.append(f"s{len(names)}")
     placeholder = Presentation(names, [])
-    system = SchreierSystem(placeholder, table, edge_index, tree, transversal)
+    system = SchreierSystem(placeholder, table, edge_index, transversal)
     relators = [system.rewrite(rel, start=alpha)
                 for alpha in range(table.index)
                 for rel in pres.relators]
@@ -540,9 +533,8 @@ def tietze_reduce(pres: Presentation, budget: int = 20000) -> Presentation:
         steps += 1
         return True
 
-    def encode(letters: List[Tuple[int, int]]) -> str:
-        return "".join(chr(32 + 2 * g + (1 if s > 0 else 0))
-                       for g, s in letters)
+    def encode(word: Word) -> str:
+        return "".join([chr(32 + x) for x in word.columns()])
 
     def shorten_pass() -> bool:
         """One sweep replacing long chunks of relators using shorter relators."""
@@ -554,11 +546,10 @@ def tietze_reduce(pres: Presentation, budget: int = 20000) -> Presentation:
             ls = len(short)
             if ls < 2 or ls > 40:
                 continue
-            short_letters = short.letters()
-            doubles = [(1, short_letters + short_letters)]
-            inv_letters = Word(short.inv().syllables).letters()
-            doubles.append((-1, inv_letters + inv_letters))
-            encoded = [(lab, dbl, encode(dbl)) for lab, dbl in doubles]
+            # each rotation of short or of its inverse is a window of the
+            # doubled letters, matched as a window of the doubled text
+            doubles = [(w.letters() * 2, encode(w) * 2)
+                       for w in (short, short.inv())]
             need = ls // 2 + 1
             for li in range(len(relators)):
                 if steps >= budget:
@@ -566,12 +557,10 @@ def tietze_reduce(pres: Presentation, budget: int = 20000) -> Presentation:
                 long = relators[li]
                 if li == si or len(long) < need:
                     continue
-                long_letters = long.letters()
-                n = len(long_letters)
-                cyclic = encode(long_letters)
-                cyclic += cyclic
+                n = len(long)
+                cyclic = encode(long) * 2
                 match = None
-                for lab, dbl, dbl_text in encoded:
+                for dbl, dbl_text in doubles:
                     top = min(ls, n)
                     for start in range(ls):
                         pos = cyclic.find(dbl_text[start:start + need])
@@ -582,18 +571,18 @@ def tietze_reduce(pres: Presentation, budget: int = 20000) -> Presentation:
                                and cyclic[pos + run] == dbl_text[start + run]):
                             run += 1
                         if match is None or run > match[0]:
-                            match = (run, lab, start, pos)
+                            match = (run, dbl, start, pos)
                     if match:
                         break
                 if match is None:
                     continue
-                run, lab, start, lstart = match
-                dbl = next(d for l, d in doubles if l == lab)
+                run, dbl, start, lstart = match
                 # the matched chunk equals a rotation prefix of the short
                 # relator, so it also equals the inverse of that rotation's
                 # suffix; swap it in and keep the result if shorter
                 variant = dbl[start:start + ls]
                 suffix = Word(variant[run:])
+                long_letters = long.letters()
                 rest = [long_letters[(lstart + k) % n] for k in range(run, n)]
                 new_long = (suffix.inv() * Word(rest)).cyclically_reduced()
                 if len(new_long) < len(long):

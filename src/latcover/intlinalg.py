@@ -302,28 +302,9 @@ def _pivot_col(row: Sequence[int]) -> int:
     return -1
 
 
-def _reduce_against(v: Sequence[int], basis: Sequence[Sequence[int]]) -> Optional[List[int]]:
-    """Reduce v by echelon basis rows over Z; returns the remainder, or None
-    if a pivot division fails (v provably outside the lattice)."""
-    v = list(v)
-    for row in basis:
-        p = _pivot_col(row)
-        if p < 0:
-            continue
-        if v[p] % row[p] == 0:
-            q = v[p] // row[p]
-            if q:
-                for j in range(p, len(v)):
-                    v[j] -= q * row[j]
-        else:
-            return None
-    return v
-
-
 def in_rowspace(v: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
     """Membership of v in the lattice spanned by echelonized basis rows."""
-    r = _reduce_against(v, basis)
-    return r is not None and not any(r)
+    return saturation_order(v, basis) == 1
 
 
 def saturation_order(v: Sequence[int], basis: Sequence[Sequence[int]]) -> Optional[int]:

@@ -60,10 +60,10 @@ def _template_presentation(r1: int, r2: int) -> Presentation:
     ])
 
 
-def _single_power(word: Word, gen: int, what: str) -> int:
+def _single_power(word: Word, gen: int, gens: Sequence[str], what: str) -> int:
     if len(word.syllables) != 1 or word.syllables[0][0] != gen:
-        raise ValueError(f"{what}: expected a power of generator {gen}, "
-                         f"got {format_word(word)}")
+        raise ValueError(f"{what}: expected a power of generator {gens[gen]}, "
+                         f"got {format_word(word, gens)}")
     exp = word.syllables[0][1]
     if exp < 2:
         raise ValueError(f"{what}: exponent must be at least 2, got {exp}")
@@ -242,8 +242,12 @@ def dm_lattice(preset_id: str) -> LatticePreset:
     if presentation.gens != ["b", "u", "v"]:
         raise ValueError(f"preset {name}: generators must be b, u, v, "
                          f"got {presentation.gens}")
-    r1 = _single_power(presentation.relators[0], 0, f"preset {name}")
-    r2 = _single_power(presentation.relators[2], 2, f"preset {name}")
+    if len(presentation.relators) != len(EXPECTED_POWERS):
+        raise ValueError(f"preset {name}: expected {len(EXPECTED_POWERS)} "
+                         f"relators, got {len(presentation.relators)}")
+    what = f"preset {name}"
+    r1 = _single_power(presentation.relators[0], 0, presentation.gens, what)
+    r2 = _single_power(presentation.relators[2], 2, presentation.gens, what)
     template = _template_presentation(r1, r2)
     if presentation.relators != template.relators:
         raise ValueError(f"preset {name}: relators do not match the "

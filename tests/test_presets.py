@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from latcover.cli import main
 from latcover.exactnum import CycloElt
 from latcover.fpgroups import Word
 from latcover.presets import (EXPECTED_POWERS, central_power, dm_lattice,
@@ -126,6 +127,23 @@ def test_form_file_mismatch_fails_loudly(tmp_path, monkeypatch):
     monkeypatch.setenv("LATCOVER_PRESETS", str(root))
     with pytest.raises(ValueError, match="disagree"):
         dm_lattice("dm-11-7-2-2-2-12")
+
+
+@pytest.mark.parametrize("rewrite, message", [
+    (lambda text: text.replace("\nb^3\n", "\nb^3*u\n", 1), "got b^3*u"),
+    (lambda text: "\n".join(text.splitlines()[:3]) + "\n", "relators, got 2"),
+], ids=["non-power-relator", "too-few-relators"])
+def test_malformed_preset_exits_2(tmp_path, monkeypatch, capsys, rewrite,
+                                  message):
+    root = _copy_preset(tmp_path, "dm-5-4-1-1-1-6")
+    path = root / "dm-5-4-1-1-1-6" / "presentation.txt"
+    path.write_text(rewrite(path.read_text()))
+    monkeypatch.setenv("LATCOVER_PRESETS", str(root))
+    assert main(["lift", "--preset", "dm-5-4-1-1-1-6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
 
 
 def test_missing_fixture_directory(tmp_path, monkeypatch):

@@ -151,7 +151,7 @@ def schreier_words(images):
     uniq = {}
     for w in words:
         uniq.setdefault(w.syllables, w)
-    return sorted(uniq.values(), key=lambda w: (len(w.letters()), str(w.syllables)))
+    return sorted(uniq.values(), key=lambda w: (len(w), str(w.syllables)))
 
 
 def prune(pres, words, target_index=72):
