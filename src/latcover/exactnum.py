@@ -20,23 +20,6 @@ from typing import Iterable, Optional, Tuple
 import mpmath
 
 
-def euler_phi(n: int) -> int:
-    """Euler totient of n >= 1."""
-    if n < 1:
-        raise ValueError(f"totient undefined for {n}")
-    result = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def _poly_div_exact_int(num: list, den: list) -> list:
     """Exact division of integer polynomials (ascending coefficients)."""
     num = list(num)

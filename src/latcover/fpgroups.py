@@ -511,9 +511,10 @@ def tietze_reduce(pres: Presentation, budget: int = 20000) -> Presentation:
             counts: Dict[int, int] = {}
             for g, e in rel.syllables:
                 counts[g] = counts.get(g, 0) + abs(e)
+            length = sum(counts.values())
             for g, c in counts.items():
                 if c == 1:
-                    key = (len(rel), g, ri)
+                    key = (length, g, ri)
                     if best is None or key < best:
                         best = key
         if best is None:

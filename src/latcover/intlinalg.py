@@ -1,65 +1,12 @@
-"""Exact integer lattice linear algebra: Hermite and Smith normal forms,
-membership and saturation tests over arbitrary-precision integers."""
+"""Exact integer lattice linear algebra on plain row lists: one Hermite
+normal form, Smith invariants from alternating Hermite forms, and
+saturation tests over arbitrary-precision integers."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
-
-
-class IntMatrix:
-    """Dense integer matrix, row-major list of lists."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data: Sequence[Sequence[int]]):
-        data = [list(row) for row in data]
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError(f"inconsistent dimensions for {rows}x{cols} matrix")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-
-    @staticmethod
-    def from_rows(data: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        data = [list(r) for r in data]
-        if not data:
-            return IntMatrix(0, cols or 0, [])
-        return IntMatrix(len(data), len(data[0]), data)
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, [[0] * cols for _ in range(rows)])
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, self.data)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.data):
-            oi = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    brow = other.data[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            oi[j] += a * b
-        return IntMatrix(self.rows, other.cols, out)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, {self.data})"
+from typing import List, Optional, Sequence
 
 
 class AbelianInvariants:
@@ -93,19 +40,17 @@ class AbelianInvariants:
         return " x ".join(parts) if parts else "trivial"
 
 
-def _coerce_rows(m) -> List[List[int]]:
-    if isinstance(m, IntMatrix):
-        return [list(r) for r in m.data]
-    return [list(r) for r in m]
-
-
-def _hnf_rows(work: List[List[int]], ncols: int) -> None:
-    """Hermite normal form (see `hnf`) of the first ncols columns, in place;
-    row operations span whole rows, so the columns past ncols record them."""
+def hnf(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Nonzero rows of the row-style Hermite normal form: positive pivots,
+    entries above each pivot reduced into [0, pivot).  They are the
+    canonical basis of the lattice the rows span."""
+    work = [list(row) for row in rows]
     nrows = len(work)
     width = len(work[0]) if work else 0
     pivot_row = 0
-    for col in range(ncols):
+    for col in range(width):
+        if pivot_row == nrows:
+            break
         # gather candidate rows with a nonzero entry in this column
         live = [r for r in range(pivot_row, nrows) if work[r][col]]
         if not live:
@@ -137,162 +82,37 @@ def _hnf_rows(work: List[List[int]], ncols: int) -> None:
                 for j in range(col, width):
                     wr[j] -= q * wp[j]
         pivot_row += 1
-        if pivot_row == nrows:
-            break
+    return work[:pivot_row]
 
 
-def hnf(m) -> Tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form: returns (H, U) with H = U*m, U unimodular.
-
-    H is canonical: positive pivots, entries above each pivot reduced into
-    [0, pivot), zero rows at the bottom.
-    """
-    rows = _coerce_rows(m)
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else _ncols_of(m)
-    work = [row + [int(i == j) for j in range(nrows)]
-            for i, row in enumerate(rows)]
-    _hnf_rows(work, ncols)
-    return (IntMatrix(nrows, ncols, [row[:ncols] for row in work]),
-            IntMatrix(nrows, nrows, [row[ncols:] for row in work]))
+def _transpose(rows: List[List[int]]) -> List[List[int]]:
+    return [list(col) for col in zip(*rows)]
 
 
-def hnf_basis(m) -> List[List[int]]:
-    """Nonzero rows of the HNF of m (a basis of its row space)."""
-    work = _coerce_rows(m)
-    _hnf_rows(work, len(work[0]) if work else 0)
-    return [row for row in work if any(row)]
+def snf_diagonal(rows: Sequence[Sequence[int]]) -> List[int]:
+    """Nonzero Smith invariants d1 | d2 | ... of the matrix.  Hermite forms
+    of the rows and of the columns alternate until the matrix is diagonal
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979); gcd/lcm exchanges then
+    order the diagonal into a divisor chain."""
+    work = hnf(rows)
+    while any(x for i, row in enumerate(work)
+              for j, x in enumerate(row) if i != j):
+        work = hnf(_transpose(hnf(_transpose(work))))
+    diag = [row[i] for i, row in enumerate(work)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag
 
 
-def snf(m) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: D = U*m*V diagonal with d1 | d2 | ..., U, V unimodular."""
-    d, u, v = _snf_impl(_coerce_rows(m), transforms=True)
-    nrows, ncols = len(d), (len(d[0]) if d else _ncols_of(m))
-    return (IntMatrix(nrows, ncols, d),
-            IntMatrix(nrows, nrows, u),
-            IntMatrix(ncols, ncols, v))
-
-
-def snf_diagonal(m) -> List[int]:
-    """Diagonal of the Smith normal form, without transform bookkeeping."""
-    d, _, _ = _snf_impl(_coerce_rows(m), transforms=False)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
-def _ncols_of(m) -> int:
-    if isinstance(m, IntMatrix):
-        return m.cols
-    rows = list(m)
-    return len(rows[0]) if rows else 0
-
-
-def _snf_impl(work: List[List[int]], transforms: bool):
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)] if transforms else None
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)] if transforms else None
-
-    def row_op(r, src, q):
-        wr, ws = work[r], work[src]
-        for j in range(ncols):
-            wr[j] -= q * ws[j]
-        if transforms:
-            ur, us = u[r], u[src]
-            for j in range(nrows):
-                ur[j] -= q * us[j]
-
-    def col_op(c, src, q):
-        for i in range(nrows):
-            work[i][c] -= q * work[i][src]
-        if transforms:
-            for i in range(ncols):
-                v[i][c] -= q * v[i][src]
-
-    def swap_rows(a, b):
-        work[a], work[b] = work[b], work[a]
-        if transforms:
-            u[a], u[b] = u[b], u[a]
-
-    def swap_cols(a, b):
-        for i in range(nrows):
-            work[i][a], work[i][b] = work[i][b], work[i][a]
-        if transforms:
-            for i in range(ncols):
-                v[i][a], v[i][b] = v[i][b], v[i][a]
-
-    def negate_row(r):
-        work[r] = [-x for x in work[r]]
-        if transforms:
-            u[r] = [-x for x in u[r]]
-
-    t = 0
-    while True:
-        # find the minimal-absolute-value nonzero entry in the trailing block
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = work[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-                    if best[0] == 1:
-                        break
-            if best and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        swap_rows(t, bi)
-        swap_cols(t, bj)
-        # eliminate column and row t; restart if elimination leaves residue
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if work[i][t]:
-                    q = work[i][t] // work[t][t]
-                    row_op(i, t, q)
-                    if work[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if work[t][j]:
-                    q = work[t][j] // work[t][t]
-                    col_op(j, t, q)
-                    if work[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        # divisibility repair: pivot must divide every remaining entry
-        piv = work[t][t]
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if work[i][j] % piv:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # add offending row into pivot row
-            continue
-        if work[t][t] < 0:
-            negate_row(t)
-        t += 1
-        if t == min(nrows, ncols):
-            break
-    return work, u, v
-
-
-def quotient_invariants(rank: int, relation_rows) -> AbelianInvariants:
+def quotient_invariants(rank: int,
+                        relation_rows: Sequence[Sequence[int]]) -> AbelianInvariants:
     """Invariants of Z^rank modulo the row space of relation_rows."""
-    rows = _coerce_rows(relation_rows)
-    if any(len(r) != rank for r in rows):
+    if any(len(r) != rank for r in relation_rows):
         raise ValueError(f"relation rows must have width {rank}")
-    if not rows:
-        return AbelianInvariants(rank, [])
-    diag = snf_diagonal(rows)
-    nonzero = [abs(d) for d in diag if d]
-    torsion = [d for d in nonzero if d > 1]
-    return AbelianInvariants(rank - len(nonzero), torsion)
+    diag = snf_diagonal(relation_rows)
+    return AbelianInvariants(rank - len(diag), [d for d in diag if d > 1])
 
 
 def _pivot_col(row: Sequence[int]) -> int:
@@ -300,11 +120,6 @@ def _pivot_col(row: Sequence[int]) -> int:
         if x:
             return j
     return -1
-
-
-def in_rowspace(v: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
-    """Membership of v in the lattice spanned by echelonized basis rows."""
-    return saturation_order(v, basis) == 1
 
 
 def saturation_order(v: Sequence[int], basis: Sequence[Sequence[int]]) -> Optional[int]:

@@ -10,8 +10,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fpgroups import (CosetTable, Presentation, Word, format_word,
                        schreier_system, serialize_presentation, todd_coxeter)
-from .intlinalg import (AbelianInvariants, hnf_basis, in_rowspace,
-                        quotient_invariants, saturation_order)
+from .intlinalg import (AbelianInvariants, hnf, quotient_invariants,
+                        saturation_order)
 
 
 # Largest wedge coordinate count NQ2 accepts (50 generators): its center
@@ -140,10 +140,6 @@ class NQ2Image:
         self.m = tuple(int(x) for x in m)
         self.order = order
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.order is None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NQ2Image):
             return NotImplemented
@@ -163,9 +159,9 @@ class NQ2:
     generator blocks, done as group operations, leave one pivot per leading
     column and central remainders.  N is the pivots' products times the
     center lattice spanned by the remainders and every wedge h ^ e_k of a
-    pivot's generator block h (its commutator with x_k); membership and
-    order tests reduce against the pivots in column order, then against
-    that lattice (Sims, Computation with Finitely Presented Groups, ch. 11).
+    pivot's generator block h (its commutator with x_k); order tests
+    reduce against the pivots in column order, then against that lattice
+    (Sims, Computation with Finitely Presented Groups, ch. 11).
     """
 
     __slots__ = ("n", "relator_images", "_pivots", "_abasis",
@@ -198,7 +194,7 @@ class NQ2:
                 row = _unit_wedge(n, h, k)
                 if any(row):
                     center_rows.append(row)
-        self.center_basis = hnf_basis(center_rows)
+        self.center_basis = hnf(center_rows)
         self.abelianization = quotient_invariants(n, self._abasis)
         self.derived_part = quotient_invariants(wedge_size(n),
                                                 self.center_basis)
@@ -211,11 +207,6 @@ class NQ2:
             if q:
                 elt = elt * p ** -q
         return None if any(elt.a) else list(elt.m)
-
-    def is_trivial(self, elt: ClassTwoElement) -> bool:
-        """Does this free class-2 element map to the identity?"""
-        residue = self._central_residue(elt)
-        return residue is not None and in_rowspace(residue, self.center_basis)
 
     def order_of(self, elt: ClassTwoElement) -> Optional[int]:
         """Exact order of the image of elt, None when infinite."""
@@ -421,19 +412,6 @@ def subgroup_abelianization(table: CosetTable,
     rows = [[row.get(c, 0) for c in elim.survivors]
             for _, row in elim.free_rows() if row]
     return quotient_invariants(len(elim.survivors), rows)
-
-
-def epsilon(base: NQ2, lifted: NQ2) -> int:
-    """Growth of the derived part's free rank from the base group's class-2
-    quotient to the lifted group's; a central Z-extension changes it by 0 or 1."""
-    base_rank = base.derived_part.free_rank
-    lifted_rank = lifted.derived_part.free_rank
-    diff = lifted_rank - base_rank
-    if diff not in (0, 1):
-        raise ValueError(f"derived free rank moved {base_rank} -> "
-                         f"{lifted_rank}; a central Z-extension cannot "
-                         f"change it by {diff}")
-    return diff
 
 
 class Certificate:

@@ -248,18 +248,11 @@ def relator_path(word: Word, logs: Sequence[GeneratorLog],
                        np.concatenate(seg_parts), letters)
 
 
-def winding_number(path: RelatorPath, open_path: bool = False):
-    """Winding of the sampled loop around 0, counterclockwise positive.
-
-    With open_path=True returns the fractional total turning (in turns)
-    without requiring closure.
-    """
-    turns = path.total_argument() / TWO_PI
-    if open_path:
-        return turns
+def winding_number(path: RelatorPath) -> int:
+    """Winding of the sampled loop around 0, counterclockwise positive."""
     if not path.is_closed:
         raise ValueError(f"path is not closed: endpoint {path.endpoint}")
-    return _snap(turns)
+    return _snap(path.total_argument() / TWO_PI)
 
 
 def _snap(turns: float) -> int:
@@ -272,13 +265,12 @@ def _snap(turns: float) -> int:
 
 class LiftedPresentation:
     """Base presentation extended by a central generator z, with the central
-    exponent k_i for each base relator meaning relator * z^(k_i) = 1, and the
-    power m with z^m generating the deck group of the universal cover."""
+    exponent k_i for each base relator meaning relator * z^(k_i) = 1."""
 
-    __slots__ = ("base", "z_name", "exponents", "center_power")
+    __slots__ = ("base", "z_name", "exponents")
 
     def __init__(self, base: Presentation, exponents: Sequence[int],
-                 z_name: str = "z", center_power: int = 3):
+                 z_name: str = "z"):
         if len(exponents) != len(base.relators):
             raise ValueError("need one central exponent per base relator")
         if z_name in base.gens:
@@ -286,7 +278,6 @@ class LiftedPresentation:
         self.base = base
         self.exponents = list(int(k) for k in exponents)
         self.z_name = z_name
-        self.center_power = center_power
 
     def to_presentation(self) -> Presentation:
         """Presentation on base generators plus z: lifted relators and
@@ -304,8 +295,7 @@ class LiftedPresentation:
         if not isinstance(other, LiftedPresentation):
             return NotImplemented
         return (self.base == other.base and self.exponents == other.exponents
-                and self.z_name == other.z_name
-                and self.center_power == other.center_power)
+                and self.z_name == other.z_name)
 
     def __repr__(self) -> str:
         rels = ", ".join(
@@ -379,4 +369,4 @@ def normalize_lift(lp: LiftedPresentation) -> LiftedPresentation:
     straight = normal_form(lp.exponents)
     flipped = normal_form([-k for k in lp.exponents])
     chosen = max(straight, flipped)
-    return LiftedPresentation(base, chosen, lp.z_name, lp.center_power)
+    return LiftedPresentation(base, chosen, lp.z_name)

@@ -1,21 +1,25 @@
 """Shared builders for the worked lattice data used across test modules."""
 
 from fractions import Fraction
+from math import gcd
 
 from latcover.exactnum import (CycloElt, cyclotomic_polynomial, to_literal,
                                zeta)
 from latcover.fpgroups import Presentation, Word, braid_relator
-from latcover.intlinalg import (IntMatrix, hnf, hnf_basis,
-                                quotient_invariants, saturation_order)
+from latcover.intlinalg import hnf, quotient_invariants, saturation_order
 from latcover.nq2 import ClassTwoElement, _unit_wedge, wedge_size
 from latcover.presets import Lattice
 from latcover.su21 import GroupMatrix, HermitianForm, scale_to_su
 
 
+def euler_phi(n):
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
 def det(m) -> int:
-    """Exact determinant of a square IntMatrix by fraction-free (Bareiss)
-    elimination; the reference for unimodularity checks."""
-    a = [list(r) for r in m.data]
+    """Exact determinant of a square matrix (rows) by fraction-free (Bareiss)
+    elimination; the reference for unimodularity and minors."""
+    a = [list(r) for r in m]
     n = len(a)
     if n == 0:
         return 1
@@ -38,47 +42,52 @@ def det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _rows(m):
-    return [list(r) for r in (m.data if isinstance(m, IntMatrix) else m)]
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def hnf_with_transform(m):
+    """(H, U) with H = U*m the Hermite form of m, zero rows last, and U
+    unimodular: `hnf` of [m | I], each row split after m's columns."""
+    width = len(m[0]) if m else 0
+    rows = hnf([list(row) + [int(i == j) for j in range(len(m))]
+                for i, row in enumerate(m)])
+    return [row[:width] for row in rows], [row[width:] for row in rows]
 
 
 def kernel_basis(m):
     """Integer basis of the left kernel {c : c * m = 0}, as rows."""
-    h, u = hnf(m)
-    return [u.data[i] for i, row in enumerate(h.data) if not any(row)]
+    h, u = hnf_with_transform(m)
+    return [u[i] for i, row in enumerate(h) if not any(row)]
 
 
 def sublattice_with_zero_prefix(l_rows, prefix_width):
     """Generators of {v in rowspace : v's first prefix_width coords vanish},
     projected to the trailing coordinates."""
-    rows = _rows(l_rows)
-    total = len(rows[0]) if rows else prefix_width
-    if any(len(r) != total for r in rows):
+    total = len(l_rows[0]) if l_rows else prefix_width
+    if any(len(r) != total for r in l_rows):
         raise ValueError("ragged rows")
     if prefix_width > total:
         raise ValueError(f"prefix {prefix_width} exceeds width {total}")
-    h, _ = hnf(rows) if rows else (IntMatrix(0, total, []), None)
-    tail = total - prefix_width
-    out = [row[prefix_width:] for row in h.data
-           if not any(row[:prefix_width]) and any(row)]
-    return IntMatrix(len(out), tail, out)
+    return [row[prefix_width:] for row in hnf(l_rows)
+            if not any(row[:prefix_width])]
 
 
 def relation_rows(q):
     """Rows generating the relation subgroup of an NQ2 quotient: collected
     relator coordinates plus the zero-prefixed central lattice basis. These
-    generate under collected multiplication, not under integer row sums;
-    use is_trivial for membership questions."""
+    generate under collected multiplication, not under integer row sums."""
     rows = [list(e.a) + list(e.m) for e in q.relator_images]
-    rows += [[0] * q.n + list(r) for r in q.center_basis]
-    return IntMatrix.from_rows(rows, cols=q.n + wedge_size(q.n))
+    return rows + [[0] * q.n + list(r) for r in q.center_basis]
 
 
 def solve_in_rowspace(target, h, u):
-    """Given (H, U) = hnf(A), return integer c with c*A = target, or None."""
-    y = [0] * h.rows
+    """Given (H, U) = hnf_with_transform(A), return integer c with
+    c*A = target, or None."""
+    y = [0] * len(h)
     v = list(target)
-    for i, row in enumerate(h.data):
+    for i, row in enumerate(h):
         p = next((j for j, x in enumerate(row) if x), None)
         if p is None:
             continue
@@ -90,8 +99,8 @@ def solve_in_rowspace(target, h, u):
                 v[j] -= q * row[j]
     if any(v):
         return None
-    return [sum(yi * u.data[i][j] for i, yi in enumerate(y))
-            for j in range(u.cols)]
+    return [sum(yi * u[i][j] for i, yi in enumerate(y))
+            for j in range(len(u))]
 
 
 class TransformNQ2:
@@ -106,15 +115,12 @@ class TransformNQ2:
     def __init__(self, n, relator_images):
         self.n = n
         self.images = list(relator_images)
-        self.h, self.u = hnf(IntMatrix.from_rows(
-            [list(e.a) for e in self.images], cols=n))
-        self.abasis = [row for row in self.h.data if any(row)]
+        self.h, self.u = hnf_with_transform([list(e.a) for e in self.images])
+        self.abasis = [row for row in self.h if any(row)]
         rows = [_unit_wedge(n, h, k) for h in self.abasis for k in range(n)]
         rows += [list(self._product(urow).m)
-                 for hrow, urow in zip(self.h.data, self.u.data)
-                 if not any(hrow)]
-        self.center_basis = hnf_basis(
-            IntMatrix.from_rows(rows, cols=wedge_size(n)))
+                 for hrow, urow in zip(self.h, self.u) if not any(hrow)]
+        self.center_basis = hnf(rows)
         self.abelianization = quotient_invariants(n, self.abasis)
         self.derived_part = quotient_invariants(wedge_size(n),
                                                 self.center_basis)

@@ -5,24 +5,19 @@ each. Run with -s to also see the measured numbers."""
 import cmath
 import math
 import os
-import re
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from latcover.fpgroups import Word, todd_coxeter
-from latcover.intlinalg import hnf_basis, in_rowspace
-from latcover.nq2 import epsilon, rf_certificate, subgroup_class2
+from latcover.intlinalg import hnf, saturation_order
+from latcover.nq2 import rf_certificate, subgroup_class2
 from latcover.pathlift import (central_log, elliptic_log, relator_path,
                                winding_number)
 from latcover.presets import dm_lattice, verify_preset
 
 PRESET1 = "dm-5-4-1-1-1-6"
 PRESET2 = "dm-11-7-2-2-2-12"
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _relator_texts(pres):
@@ -122,7 +117,9 @@ def test_acceptance_05_index_72_certificate():
 
     lifted_q = subgroup_class2(table, pres,
                                central=lifted.exponents * table.index)
-    assert epsilon(base_q, lifted_q) == 1
+    epsilon = (lifted_q.derived_part.free_rank
+               - base_q.derived_part.free_rank)
+    assert epsilon == 1
 
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
@@ -174,24 +171,23 @@ def test_acceptance_06_stretch_surface_numbers():
     def divisible(d):
         lattice = [[d if i == j else 0 for j in range(width)]
                    for i in range(width)] + relations
-        return in_rowspace(cubed, hnf_basis(lattice))
+        return saturation_order(cubed, hnf(lattice)) == 1
 
     assert divisible(4)
     assert not divisible(8)
 
 
-def test_acceptance_07_property_suites():
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-m", "property_suite",
-         "-p", "no:cacheprovider"],
-        cwd=REPO_ROOT, capture_output=True, text=True, timeout=1800)
-    tail = "\n".join(result.stdout.splitlines()[-5:])
-    assert result.returncode == 0, f"property suites failed:\n{tail}"
-    match = re.search(r"(\d+) passed", result.stdout)
-    assert match is not None, tail
-    passed = int(match.group(1))
-    assert passed == 11, tail
-    print(f"PASS 07: {passed} randomized invariant suites green at >= 1000 "
-          "cases each (field axioms, embedding, SNF/HNF, coset tracing, "
+def test_acceptance_07_property_suites(property_suites):
+    # tests/conftest.py runs this check last and records every suite's
+    # outcome in this session; run alone, it sees no suites and fails
+    names = sorted(property_suites)
+    assert len(names) == 11, f"expected 11 property suites, ran {names}"
+    unpassed = {k: v[0] for k, v in property_suites.items()
+                if v[0] != "passed"}
+    assert not unpassed, f"property suites not passed: {unpassed}"
+    small = {k: v[1] for k, v in property_suites.items() if v[1] < 1000}
+    assert not small, f"property suites under 1000 cases: {small}"
+    print(f"PASS 07: {len(names)} randomized invariant suites green at "
+          ">= 1000 cases each (field axioms, embedding, SNF/HNF, coset tracing, "
           "subgroup ranks, Tietze invariance, collection law, brute-force "
           "comparison, winding, Iwasawa)")

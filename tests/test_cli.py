@@ -244,14 +244,24 @@ def test_output_matches_benchmark_golden(capsys, golden, argv):
 ], ids=["certify-hirzebruch", "nq2-hirzebruch", "nq2-whole-group"])
 def test_class2_quotients_need_no_hnf_transform(capsys, monkeypatch, argv,
                                                 expected):
+    # every Hermite form is of a relation matrix alone and returns the
+    # nonzero rows of its lattice basis, with no transform alongside
     import latcover.intlinalg as intlinalg
+    import latcover.nq2 as nq2
+    original = intlinalg.hnf
+    widths = []
 
-    def unexpected(*args):
-        raise AssertionError("hnf with a transform was called")
+    def basis_only(rows):
+        out = original(rows)
+        widths.append(len(rows[0]) if rows else 0)
+        assert all(len(row) == widths[-1] and any(row) for row in out)
+        return out
 
-    monkeypatch.setattr(intlinalg, "hnf", unexpected)
+    monkeypatch.setattr(intlinalg, "hnf", basis_only)
+    monkeypatch.setattr(nq2, "hnf", basis_only)
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (0, expected, "")
+    assert widths
 
 
 def test_subpres_reduces_to_four_generators(capsys):
@@ -267,6 +277,18 @@ def test_abelian_whole_group(capsys):
     rc, out, _ = run(capsys, "abelian", "--preset", PRESET1)
     assert rc == 0
     assert out == "abelianization: Z/3 x Z/3\n"
+
+
+def test_abelian_of_stalling_smith_form(capsys, tmp_path):
+    # exponent sums on which a minimal-pivot Smith form ran for minutes
+    rows = [[4, -7, -8, 7, -6], [-5, 3, -9, 2, 7], [9, 8, -6, 6, -4],
+            [4, 6, -2, 7, 4], [4, -4, 7, 4, 8], [-5, -7, -2, 4, 4]]
+    relators = ["*".join(f"{g}^{e}" for g, e in zip("abcde", row))
+                for row in rows]
+    pres = tmp_path / "m1.pres"
+    pres.write_text("generators: a b c d e\n" + "\n".join(relators) + "\n")
+    rc, out, _ = run(capsys, "abelian", "--pres", str(pres))
+    assert (rc, out) == (0, "abelianization: Z/3\n")
 
 
 def test_abelian_subgroup(capsys):

@@ -11,14 +11,13 @@ from latcover.exactnum import (
     CycloElt,
     cyclotomic_polynomial,
     embed_complex,
-    euler_phi,
     parse_cyclo,
     to_literal,
     zeta,
 )
 
-from helpers_latcover import (ref_add, ref_conjugate, ref_inv, ref_mul,
-                              ref_promote, ref_reduce)
+from helpers_latcover import (euler_phi, ref_add, ref_conjugate, ref_inv,
+                              ref_mul, ref_promote, ref_reduce)
 
 
 def test_cyclotomic_polynomials():

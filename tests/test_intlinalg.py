@@ -1,64 +1,58 @@
 """Tests for integer HNF/SNF, quotient invariants and lattice membership."""
 
-from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcover.intlinalg import (
     AbelianInvariants,
-    IntMatrix,
     hnf,
-    hnf_basis,
-    in_rowspace,
     quotient_invariants,
     saturation_order,
-    snf,
     snf_diagonal,
 )
 
-from helpers_latcover import (det, kernel_basis, solve_in_rowspace,
-                              sublattice_with_zero_prefix)
+from helpers_latcover import (det, hnf_with_transform, kernel_basis, matmul,
+                              solve_in_rowspace, sublattice_with_zero_prefix)
 
 
-def _mat(rows):
-    return IntMatrix.from_rows(rows)
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_hnf_identity():
-    h, u = hnf(IntMatrix.identity(3))
-    assert h == IntMatrix.identity(3)
-    assert u == IntMatrix.identity(3)
+    assert hnf(_identity(3)) == _identity(3)
+    assert hnf_with_transform(_identity(3)) == (_identity(3), _identity(3))
 
 
 def test_hnf_already_reduced():
-    m = _mat([[2, 4], [0, 6]])
-    h, u = hnf(m)
-    assert h.data == [[2, 4], [0, 6]]
-    assert (u @ m).data == h.data
+    m = [[2, 4], [0, 6]]
+    assert hnf(m) == [[2, 4], [0, 6]]
+    h, u = hnf_with_transform(m)
+    assert h == [[2, 4], [0, 6]]
+    assert matmul(u, m) == h
 
 
 def test_hnf_gcd_column():
-    h, u = hnf(_mat([[4], [6]]))
-    assert h.data == [[2], [0]]
-    assert (u @ _mat([[4], [6]])).data == h.data
+    assert hnf([[4], [6]]) == [[2]]
+    h, u = hnf_with_transform([[4], [6]])
+    assert h == [[2], [0]]
+    assert matmul(u, [[4], [6]]) == h
 
 
 def test_snf_diag_6_4():
-    d, u, v = snf(_mat([[6, 0], [0, 4]]))
-    assert [d.data[0][0], d.data[1][1]] == [2, 12]
-    assert (u @ _mat([[6, 0], [0, 4]]) @ v).data == d.data
-    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    assert snf_diagonal([[6, 0], [0, 4]]) == [2, 12]
 
 
 def test_snf_zero_matrix():
-    d, u, v = snf(IntMatrix.zero(2, 3))
-    assert d.data == [[0, 0, 0], [0, 0, 0]]
+    assert snf_diagonal([[0, 0, 0], [0, 0, 0]]) == []
+    assert snf_diagonal([]) == []
 
 
 def test_snf_2_3():
-    d, _, _ = snf(_mat([[2, 0], [0, 3]]))
-    assert [d.data[0][0], d.data[1][1]] == [1, 6]
+    assert snf_diagonal([[2, 0], [0, 3]]) == [1, 6]
 
 
 def test_quotient_free():
@@ -81,18 +75,16 @@ def test_quotient_describe():
 
 
 def test_zero_prefix_extraction():
-    out = sublattice_with_zero_prefix(_mat([[1, 0, 5], [0, 0, 3]]), 2)
-    assert out.data == [[3]]
+    assert sublattice_with_zero_prefix([[1, 0, 5], [0, 0, 3]], 2) == [[3]]
 
 
 def test_zero_prefix_empty():
-    out = sublattice_with_zero_prefix([], 2)
-    assert out.rows == 0
+    assert sublattice_with_zero_prefix([], 2) == []
 
 
 def test_zero_prefix_identity():
-    out = sublattice_with_zero_prefix(IntMatrix.identity(5), 2)
-    assert out.data == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    out = sublattice_with_zero_prefix(_identity(5), 2)
+    assert out == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_kernel_basis():
@@ -107,7 +99,7 @@ def test_kernel_basis():
 
 def test_solve_in_rowspace():
     a = [[2, 0, 1], [0, 3, 1]]
-    h, u = hnf(a)
+    h, u = hnf_with_transform(a)
     c = solve_in_rowspace([2, 3, 2], h, u)
     assert c is not None
     assert [sum(c[i] * a[i][j] for i in range(2)) for j in range(3)] == [2, 3, 2]
@@ -115,12 +107,11 @@ def test_solve_in_rowspace():
 
 
 def test_membership_and_saturation():
-    basis = hnf_basis([[2, 0], [0, 3]])
-    assert in_rowspace([4, 3], basis)
-    assert not in_rowspace([1, 0], basis)
+    basis = hnf([[2, 0], [0, 3]])
+    assert saturation_order([4, 3], basis) == 1
     assert saturation_order([1, 0], basis) == 2
     assert saturation_order([1, 1], basis) == 6
-    basis2 = hnf_basis([[1, 0, 0]])
+    basis2 = hnf([[1, 0, 0]])
     assert saturation_order([0, 1, 0], basis2) is None
 
 
@@ -133,41 +124,55 @@ def int_matrices(draw, max_dim=5):
     c = draw(st.integers(min_value=1, max_value=max_dim))
     data = draw(st.lists(st.lists(_SMALL, min_size=c, max_size=c),
                          min_size=r, max_size=r))
-    return IntMatrix.from_rows(data, cols=c)
+    return data
+
+
+def _determinantal_divisors(m):
+    """gcd of the k x k minors for k = 1, 2, ... while it is nonzero."""
+    out = []
+    for k in range(1, min(len(m), len(m[0])) + 1):
+        g = 0
+        for rows in combinations(m, k):
+            for cols in combinations(range(len(m[0])), k):
+                g = gcd(g, det([[row[j] for j in cols] for row in rows]))
+        if not g:
+            break
+        out.append(g)
+    return out
 
 
 @pytest.mark.property_suite
 @settings(max_examples=1000, deadline=None)
 @given(int_matrices())
 def test_snf_correctness(m):
-    d, u, v = snf(m)
-    assert (u @ m @ v).data == d.data
-    assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
-    diag = [d.data[i][i] for i in range(min(d.rows, d.cols))]
-    for i in range(min(d.rows, d.cols)):
-        for j in range(d.cols):
-            if i != j and j < d.cols:
-                assert d.data[i][j] == 0 or i == j
+    diag = snf_diagonal(m)
+    assert all(d > 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
-        if a:
-            assert b % a == 0
-        else:
-            assert b == 0
-    assert all(x >= 0 for x in diag)
-    # idempotence: SNF of D is D again
-    assert snf_diagonal(d) == diag
+        assert b % a == 0
+    # d1 * ... * dk is the gcd of the k x k minors
+    products = []
+    for d in diag:
+        products.append(d * (products[-1] if products else 1))
+    assert products == _determinantal_divisors(m)
+    # idempotence: the Smith form of the diagonal matrix is its diagonal
+    square = [[d if i == j else 0 for j in range(len(diag))]
+              for i, d in enumerate(diag)]
+    assert snf_diagonal(square) == diag
 
 
 @pytest.mark.property_suite
 @settings(max_examples=1000, deadline=None)
 @given(int_matrices(), st.data())
 def test_hnf_canonicity(m, data):
-    h1, u1 = hnf(m)
-    assert (u1 @ m).data == h1.data
+    h1, u1 = hnf_with_transform(m)
+    assert matmul(u1, m) == h1
     assert abs(det(u1)) == 1
+    basis = hnf(m)
+    assert h1 == basis + [[0] * len(m[0])] * (len(m) - len(basis))
+    # every row of m lies in the lattice of the basis
+    assert all(saturation_order(row, basis) == 1 for row in m)
     # row-equivalent matrix: shuffle rows and add a multiple of one row to another
-    rows = [list(r) for r in m.data]
+    rows = [list(r) for r in m]
     perm = data.draw(st.permutations(range(len(rows))))
     rows = [rows[i] for i in perm]
     if len(rows) > 1:
@@ -176,28 +181,24 @@ def test_hnf_canonicity(m, data):
         if i != j:
             k = data.draw(_SMALL)
             rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
-    h2, _ = hnf(IntMatrix.from_rows(rows, cols=m.cols))
-    assert h1.data == h2.data
+    assert hnf(rows) == basis
 
 
 @settings(max_examples=400, deadline=None)
 @given(int_matrices(max_dim=4))
 def test_kernel_rows_annihilate(m):
     for c in kernel_basis(m):
-        combo = [sum(c[i] * m.data[i][j] for i in range(m.rows))
-                 for j in range(m.cols)]
-        assert combo == [0] * m.cols
+        assert matmul([c], m) == [[0] * len(m[0])]
 
 
 @settings(max_examples=400, deadline=None)
 @given(int_matrices(max_dim=4), st.integers(0, 3))
 def test_zero_prefix_soundness(m, p):
-    p = min(p, m.cols)
+    p = min(p, len(m[0]))
     out = sublattice_with_zero_prefix(m, p)
-    basis = hnf_basis(m)
-    for row in out.data:
-        padded = [0] * p + row
-        assert in_rowspace(padded, basis)
+    basis = hnf(m)
+    for row in out:
+        assert saturation_order([0] * p + row, basis) == 1
 
 
 def _brute_force_group_order(inv: AbelianInvariants) -> int:
@@ -218,3 +219,26 @@ def test_quotient_invariants_against_direct_order(diagonal):
     for d in diagonal:
         expected *= d
     assert _brute_force_group_order(inv) == expected <= 10 ** 4
+
+
+# Smith forms that a minimal-pivot elimination with divisibility repair ran
+# on for minutes; alternating Hermite forms finish them at once.
+_STALLING = {
+    "M1": ([[4, -7, -8, 7, -6], [-5, 3, -9, 2, 7], [9, 8, -6, 6, -4],
+            [4, 6, -2, 7, 4], [4, -4, 7, 4, 8], [-5, -7, -2, 4, 4]], "Z/3"),
+    "M2": ([[9, 7, -8, 9, -1, -3], [-1, -1, 2, -3, -5, -9],
+            [-1, 5, -9, -9, 6, -1], [1, 7, -7, -3, 1, -9],
+            [-8, -1, 8, 3, 6, 0], [-1, -8, -9, -9, -8, 8]], "Z/193380"),
+    "M3": ([[-9, -7, 0, 4, -4, -9, -8], [1, 7, 1, 2, -6, -8, -3],
+            [3, -9, 8, 5, 1, -2, 5], [5, -2, -9, 2, -3, -2, -4],
+            [4, 3, -6, 3, 1, 9, -6], [8, -2, 0, -6, -9, 3, -9]], "Z"),
+    "M4": ([[-9, -3, -2, -8, 3], [8, 9, 8, 7, -1], [-7, -6, 5, 8, -8],
+            [-6, 3, 5, -6, 5], [3, -7, -3, -3, 5], [-2, 2, 1, 6, 2],
+            [-4, 1, -3, -6, -9]], "Z/2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STALLING))
+def test_quotient_invariants_of_stalling_matrices(name):
+    rows, expected = _STALLING[name]
+    assert quotient_invariants(len(rows[0]), rows).describe() == expected

@@ -282,9 +282,12 @@ def _random_word_matrices(count, max_len=8, seed=7):
     return words
 
 
-@pytest.mark.property_suite
+RANDOM_MATRICES = 1000
+
+
+@pytest.mark.property_suite(cases=RANDOM_MATRICES)
 def test_iwasawa_round_trip_on_random_words():
-    for mat in _random_word_matrices(1000):
+    for mat in _random_word_matrices(RANDOM_MATRICES):
         coords = iwasawa(mat)
         assert np.max(np.abs(coords.matrix() - mat)) < 1e-9
 
