@@ -19,7 +19,8 @@ import mpmath
 
 from .exactnum import embed_complex
 from .fpgroups import (EnumerationLimit, Word, format_word, parse_word,
-                       schreier_system, tietze_reduce, todd_coxeter)
+                       schreier_system, serialize_presentation, tietze_reduce,
+                       todd_coxeter)
 from .nq2 import (class2_quotient, rf_certificate, subgroup_abelianization,
                   subgroup_class2)
 from .pathlift import (LiftedPresentation, generator_logs, relator_path,
@@ -210,11 +211,8 @@ def cmd_subpres(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
                          "subgroup name with --preset)")
     pres = lattice.presentation
     table = todd_coxeter(pres, subgroup, max_cosets=args.max_cosets)
-    reduced = tietze_reduce(schreier_system(table, pres).presentation,
-                            budget=200000)
-    lines = ["generators: " + " ".join(reduced.gens)]
-    lines.extend(format_word(r, reduced.gens) for r in reduced.relators)
-    return "\n".join(lines) + "\n", EXIT_OK
+    reduced = tietze_reduce(schreier_system(table, pres).presentation)
+    return serialize_presentation(reduced), EXIT_OK
 
 
 # ------------------------------------------------------------------ abelian / nq2

@@ -10,12 +10,22 @@ from .intlinalg import AbelianInvariants, quotient_invariants
 
 
 # bound on the letters of the relators and subgroup words that Todd-Coxeter
-# expands, checked before any expansion
+# expands, checked before any expansion, and on the relator letters Tietze
+# holds, checked on entry and after every move
 MAX_WORD_LETTERS = 2 ** 22
+
+# moves (eliminations and shortenings) one Tietze reduction may make
+TIETZE_STEPS = 200000
 
 
 class EnumerationLimit(RuntimeError):
-    """Raised when coset enumeration exceeds its resource bound."""
+    """Raised when coset enumeration or Tietze reduction exceeds a bound."""
+
+
+def _check_letters(what: str, letters: int) -> None:
+    if letters > MAX_WORD_LETTERS:
+        raise EnumerationLimit(f"{what} have {letters} letters, over the "
+                               f"limit of {MAX_WORD_LETTERS}")
 
 
 class Word:
@@ -87,14 +97,12 @@ class Word:
         return sum(e for g, e in self.syllables if g == gen)
 
     def cyclically_reduced(self) -> "Word":
-        syl = list(self.syllables)
+        syl = self.syllables
         while len(syl) > 1 and syl[0][0] == syl[-1][0]:
-            g = syl[0][0]
-            total = syl[0][1] + syl[-1][1]
+            g, total = syl[0][0], syl[0][1] + syl[-1][1]
             syl = syl[1:-1]
             if total:
-                syl.insert(0, (g, total))
-                break
+                return Word(((g, total),) + syl)
         return Word(syl)
 
     def remap(self, index_map: Dict[int, int]) -> "Word":
@@ -168,12 +176,8 @@ def parse_word(text: str, gen_names: Sequence[str]) -> Word:
 
 
 def format_word(word: Word, gen_names: Sequence[str]) -> str:
-    if word.is_identity:
-        return "1"
-    parts = []
-    for g, e in word.syllables:
-        parts.append(gen_names[g] if e == 1 else f"{gen_names[g]}^{e}")
-    return "*".join(parts)
+    return "*".join(gen_names[g] if e == 1 else f"{gen_names[g]}^{e}"
+                    for g, e in word.syllables) or "1"
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -260,10 +264,8 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Word] = (),
 
     Returns the standardized complete table or raises EnumerationLimit.
     """
-    letters = sum(len(w) for w in (*pres.relators, *subgroup_gens))
-    if letters > MAX_WORD_LETTERS:
-        raise EnumerationLimit(f"relators and subgroup words have {letters} "
-                               f"letters, over the limit of {MAX_WORD_LETTERS}")
+    _check_letters("relators and subgroup words",
+                   sum(len(w) for w in (*pres.relators, *subgroup_gens)))
     d = pres.ngens
     ncols = 2 * d
     relator_paths = [rel.columns() for rel in pres.relators]
@@ -466,100 +468,106 @@ def schreier_system(table: CosetTable, pres: Presentation) -> SchreierSystem:
     return system
 
 
-def tietze_reduce(pres: Presentation, budget: int = 20000) -> Presentation:
-    """Simplify a presentation by generator elimination and relator
-    substitution; group isomorphism type is preserved.
+class _Relator:
+    """A relator as Tietze keeps it, built once per version: the cyclically
+    reduced word, a key shared with its inverse, generator counts, letter
+    length, least generator occurring once (or None), columns as text."""
 
-    Relators keep the original generator ids while moves run; the survivors
-    are renumbered once, in order, at the end.
+    __slots__ = ("word", "key", "counts", "length", "once", "text")
+
+    def __init__(self, word: Word):
+        self.word = word = word.cyclically_reduced()
+        syl = word.syllables
+        self.key = min(syl, tuple((g, -e) for g, e in reversed(syl)))
+        self.counts: Dict[int, int] = {}
+        for g, e in syl:
+            self.counts[g] = self.counts.get(g, 0) + abs(e)
+        self.length = sum(self.counts.values())
+        self.once = min((g for g, c in self.counts.items() if c == 1),
+                        default=None)
+        self.text = "".join([chr(32 + x) for x in word.columns()])
+
+
+def tietze_reduce(pres: Presentation) -> Presentation:
+    """Simplify a presentation by generator elimination and relator
+    substitution in at most TIETZE_STEPS moves, preserving the group; raise
+    EnumerationLimit, before expanding any relator to letters, when the
+    given relators or those a substitution writes hold more than
+    MAX_WORD_LETTERS letters.
+
+    Relators keep the original generator ids while moves run, and the
+    survivors are renumbered once at the end; a move rebuilds the records
+    of the relators it changes and no others.
     """
+    _check_letters("Tietze relators", sum(len(r) for r in pres.relators))
     alive = set(range(pres.ngens))
-    relators = [r.cyclically_reduced() for r in pres.relators]
+    rels = [_Relator(r) for r in pres.relators]
     steps = 0
 
-    def substitute(word: Word, gen: int, repl: Word) -> Word:
-        if all(g != gen for g, _ in word.syllables):
-            return word
-        inv_repl = repl.inv()
-        out: List[Tuple[int, int]] = []
-        for g, e in word.syllables:
-            if g != gen:
-                out.append((g, e))
-            else:
-                part = (repl if e > 0 else inv_repl).syllables
-                out.extend(part * abs(e))
-        return Word(out)
-
-    def cleanup():
-        # w and w^-1 are the same relator
-        nonlocal relators
-        seen = set()
-        cleaned = []
-        for r in relators:
-            r = r.cyclically_reduced()
-            if (r.is_identity or r.syllables in seen
-                    or r.inv().syllables in seen):
-                continue
-            seen.add(r.syllables)
-            cleaned.append(r)
-        relators = cleaned
+    def sweep() -> None:
+        # drop identities and repeats, keeping first occurrences
+        nonlocal rels
+        kept: Dict[tuple, _Relator] = {}
+        for r in rels:
+            if r.length:
+                kept.setdefault(r.key, r)
+        rels = list(kept.values())
 
     def try_eliminate() -> bool:
-        nonlocal relators, steps
-        best = None
-        for ri, rel in enumerate(relators):
-            counts: Dict[int, int] = {}
-            for g, e in rel.syllables:
-                counts[g] = counts.get(g, 0) + abs(e)
-            length = sum(counts.values())
-            for g, c in counts.items():
-                if c == 1:
-                    key = (length, g, ri)
-                    if best is None or key < best:
-                        best = key
+        nonlocal steps
+        best = min(((r.length, r.once, ri) for ri, r in enumerate(rels)
+                    if r.once is not None), default=None)
         if best is None:
             return False
         _, gen, ri = best
-        rel = relators.pop(ri)
-        # rotate the single occurrence of gen to the front
-        syl = list(rel.syllables)
-        pos = next(i for i, (g, _) in enumerate(syl) if g == gen)
-        rotated = Word(syl[pos:] + syl[:pos])
-        head_gen, head_exp = rotated.syllables[0]
-        tail = Word(rotated.syllables[1:])
+        syl = rels.pop(ri).word.syllables
+        # rotate the single occurrence gen^(+-1) to the front:
         # gen^(+-1) * tail = 1  =>  gen = tail^-1, or tail
-        repl = tail.inv() if head_exp == 1 else tail
-        relators = [substitute(r, gen, repl) for r in relators]
+        pos = next(i for i, (g, _) in enumerate(syl) if g == gen)
+        tail = Word(syl[pos + 1:] + syl[:pos])
+        repl = tail.inv() if syl[pos][1] == 1 else tail
+        inv_repl = repl.inv()
+        # each letter gen^(+-1) becomes len(repl) letters
+        _check_letters("Tietze relators", sum(
+            r.length + r.counts.get(gen, 0) * (len(repl) - 1) for r in rels))
+        for i, r in enumerate(rels):
+            if gen in r.counts:
+                out: List[Tuple[int, int]] = []
+                for g, e in r.word.syllables:
+                    if g != gen:
+                        out.append((g, e))
+                    else:
+                        out.extend((repl if e > 0 else inv_repl).syllables
+                                   * abs(e))
+                rels[i] = _Relator(Word(out))
         alive.discard(gen)
         steps += 1
         return True
 
-    def encode(word: Word) -> str:
-        return "".join([chr(32 + x) for x in word.columns()])
-
     def shorten_pass() -> bool:
         """One sweep replacing long chunks of relators using shorter relators."""
-        nonlocal relators, steps
-        improved = False
-        order = sorted(range(len(relators)), key=lambda i: len(relators[i]))
+        nonlocal steps
+        before = steps
+        order = sorted(range(len(rels)), key=lambda i: rels[i].length)
         for si in order:
-            short = relators[si]
-            ls = len(short)
+            short = rels[si]
+            ls = short.length
             if ls < 2 or ls > 40:
                 continue
             # each rotation of short or of its inverse is a window of the
-            # doubled letters, matched as a window of the doubled text
-            doubles = [(w.letters() * 2, encode(w) * 2)
-                       for w in (short, short.inv())]
+            # doubled letters, matched as a window of the doubled text; the
+            # inverse reverses the text and swaps columns 2g, 2g+1 (bit 0)
+            inv_text = "".join([chr(ord(c) ^ 1) for c in reversed(short.text)])
+            doubles = [(short.word.letters() * 2, short.text * 2),
+                       (short.word.inv().letters() * 2, inv_text * 2)]
             need = ls // 2 + 1
-            for li in range(len(relators)):
-                if steps >= budget:
-                    return improved
-                long = relators[li]
-                if li == si or len(long) < need:
+            for li, long in enumerate(rels):
+                if steps >= TIETZE_STEPS:
+                    return steps > before
+                n = long.length
+                if li == si or n < need:
                     continue
-                n = len(long)
-                cyclic = encode(long) * 2
+                cyclic = long.text * 2
                 match = None
                 for dbl, dbl_text in doubles:
                     top = min(ls, n)
@@ -580,29 +588,18 @@ def tietze_reduce(pres: Presentation, budget: int = 20000) -> Presentation:
                 run, dbl, start, lstart = match
                 # the matched chunk equals a rotation prefix of the short
                 # relator, so it also equals the inverse of that rotation's
-                # suffix; swap it in and keep the result if shorter
-                variant = dbl[start:start + ls]
-                suffix = Word(variant[run:])
-                long_letters = long.letters()
-                rest = [long_letters[(lstart + k) % n] for k in range(run, n)]
-                new_long = (suffix.inv() * Word(rest)).cyclically_reduced()
-                if len(new_long) < len(long):
-                    relators[li] = new_long
-                    steps += 1
-                    improved = True
-        return improved
+                # suffix; swap it in, which is shorter as run > ls / 2
+                suffix = Word(dbl[start + run:start + ls])
+                rest = Word((long.word.letters() * 2)[lstart + run:lstart + n])
+                rels[li] = _Relator(suffix.inv() * rest)
+                steps += 1
+        return steps > before
 
-    cleanup()
-    while steps < budget:
-        if try_eliminate():
-            cleanup()
-            continue
-        if shorten_pass():
-            cleanup()
-            continue
-        break
+    sweep()
+    while steps < TIETZE_STEPS and (try_eliminate() or shorten_pass()):
+        sweep()
 
     kept = sorted(alive)
     index_map = {g: i for i, g in enumerate(kept)}
     return Presentation([pres.gens[g] for g in kept],
-                        [r.remap(index_map) for r in relators])
+                        [r.word.remap(index_map) for r in rels])

@@ -92,10 +92,14 @@ class ClassTwoElement:
         return ClassTwoElement(n, *_collect(word.syllables, units, n))
 
     def __mul__(self, other: "ClassTwoElement") -> "ClassTwoElement":
+        return self.times_power(other, 1)
+
+    def times_power(self, other: "ClassTwoElement", k: int) -> "ClassTwoElement":
+        """self * other^k, collected once."""
         if self.n != other.n:
             raise ValueError(f"rank mismatch {self.n} != {other.n}")
         return ClassTwoElement(self.n, *_collect(
-            ((0, 1), (1, 1)), ((self.a, self.m), (other.a, other.m)), self.n))
+            ((0, 1), (1, k)), ((self.a, self.m), (other.a, other.m)), self.n))
 
     def inv(self) -> "ClassTwoElement":
         return self ** -1
@@ -182,7 +186,7 @@ class NQ2:
                     break
                 # the remainder has a zero here and goes on to later columns
                 while elt.a[c]:
-                    top, elt = elt, top * elt ** -(top.a[c] // elt.a[c])
+                    top, elt = elt, top.times_power(elt, -(top.a[c] // elt.a[c]))
                 pivots[c] = top if top.a[c] > 0 else top.inv()
             else:
                 if any(elt.m):
@@ -205,7 +209,7 @@ class NQ2:
         for c, p in self._pivots:
             q = elt.a[c] // p.a[c]
             if q:
-                elt = elt * p ** -q
+                elt = elt.times_power(p, -q)
         return None if any(elt.a) else list(elt.m)
 
     def order_of(self, elt: ClassTwoElement) -> Optional[int]:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd
+from typing import Dict, List, Tuple
 
 from latcover.exactnum import (CycloElt, cyclotomic_polynomial, to_literal,
                                zeta)
@@ -307,3 +308,147 @@ def picard_lattice(pres: Presentation) -> Lattice:
     """The (5,4,1,1,1)/6 generator matrices attached to a presentation on b, u, v."""
     form, b0, u0, v0 = picard_unscaled()
     return Lattice(pres, form, {"b": b0, "u": u0, "v": v0})
+
+
+def reference_tietze_reduce(pres: Presentation,
+                            budget: int = 20000) -> Presentation:
+    """The reference for `fpgroups.tietze_reduce`'s moves: the same
+    eliminations and substitutions in the same order, with a step budget,
+    rebuilding and re-reducing every relator after every move.
+
+    Relators keep the original generator ids while moves run; the survivors
+    are renumbered once, in order, at the end.
+    """
+    alive = set(range(pres.ngens))
+    relators = [r.cyclically_reduced() for r in pres.relators]
+    steps = 0
+
+    def substitute(word: Word, gen: int, repl: Word) -> Word:
+        if all(g != gen for g, _ in word.syllables):
+            return word
+        inv_repl = repl.inv()
+        out: List[Tuple[int, int]] = []
+        for g, e in word.syllables:
+            if g != gen:
+                out.append((g, e))
+            else:
+                part = (repl if e > 0 else inv_repl).syllables
+                out.extend(part * abs(e))
+        return Word(out)
+
+    def cleanup():
+        # w and w^-1 are the same relator
+        nonlocal relators
+        seen = set()
+        cleaned = []
+        for r in relators:
+            r = r.cyclically_reduced()
+            if (r.is_identity or r.syllables in seen
+                    or r.inv().syllables in seen):
+                continue
+            seen.add(r.syllables)
+            cleaned.append(r)
+        relators = cleaned
+
+    def try_eliminate() -> bool:
+        nonlocal relators, steps
+        best = None
+        for ri, rel in enumerate(relators):
+            counts: Dict[int, int] = {}
+            for g, e in rel.syllables:
+                counts[g] = counts.get(g, 0) + abs(e)
+            length = sum(counts.values())
+            for g, c in counts.items():
+                if c == 1:
+                    key = (length, g, ri)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            return False
+        _, gen, ri = best
+        rel = relators.pop(ri)
+        # rotate the single occurrence of gen to the front
+        syl = list(rel.syllables)
+        pos = next(i for i, (g, _) in enumerate(syl) if g == gen)
+        rotated = Word(syl[pos:] + syl[:pos])
+        head_gen, head_exp = rotated.syllables[0]
+        tail = Word(rotated.syllables[1:])
+        # gen^(+-1) * tail = 1  =>  gen = tail^-1, or tail
+        repl = tail.inv() if head_exp == 1 else tail
+        relators = [substitute(r, gen, repl) for r in relators]
+        alive.discard(gen)
+        steps += 1
+        return True
+
+    def encode(word: Word) -> str:
+        return "".join([chr(32 + x) for x in word.columns()])
+
+    def shorten_pass() -> bool:
+        """One sweep replacing long chunks of relators using shorter relators."""
+        nonlocal relators, steps
+        improved = False
+        order = sorted(range(len(relators)), key=lambda i: len(relators[i]))
+        for si in order:
+            short = relators[si]
+            ls = len(short)
+            if ls < 2 or ls > 40:
+                continue
+            # each rotation of short or of its inverse is a window of the
+            # doubled letters, matched as a window of the doubled text
+            doubles = [(w.letters() * 2, encode(w) * 2)
+                       for w in (short, short.inv())]
+            need = ls // 2 + 1
+            for li in range(len(relators)):
+                if steps >= budget:
+                    return improved
+                long = relators[li]
+                if li == si or len(long) < need:
+                    continue
+                n = len(long)
+                cyclic = encode(long) * 2
+                match = None
+                for dbl, dbl_text in doubles:
+                    top = min(ls, n)
+                    for start in range(ls):
+                        pos = cyclic.find(dbl_text[start:start + need])
+                        if pos < 0 or pos >= n:
+                            continue
+                        run = need
+                        while (run < top
+                               and cyclic[pos + run] == dbl_text[start + run]):
+                            run += 1
+                        if match is None or run > match[0]:
+                            match = (run, dbl, start, pos)
+                    if match:
+                        break
+                if match is None:
+                    continue
+                run, dbl, start, lstart = match
+                # the matched chunk equals a rotation prefix of the short
+                # relator, so it also equals the inverse of that rotation's
+                # suffix; swap it in and keep the result if shorter
+                variant = dbl[start:start + ls]
+                suffix = Word(variant[run:])
+                long_letters = long.letters()
+                rest = [long_letters[(lstart + k) % n] for k in range(run, n)]
+                new_long = (suffix.inv() * Word(rest)).cyclically_reduced()
+                if len(new_long) < len(long):
+                    relators[li] = new_long
+                    steps += 1
+                    improved = True
+        return improved
+
+    cleanup()
+    while steps < budget:
+        if try_eliminate():
+            cleanup()
+            continue
+        if shorten_pass():
+            cleanup()
+            continue
+        break
+
+    kept = sorted(alive)
+    index_map = {g: i for i, g in enumerate(kept)}
+    return Presentation([pres.gens[g] for g in kept],
+                        [r.remap(index_map) for r in relators])

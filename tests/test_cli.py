@@ -415,6 +415,44 @@ def test_oversized_subgroup_words_exit_3(capsys, monkeypatch, tmp_path,
     assert "over the limit" in err
 
 
+def test_subpres_letter_bound_exits_3(capsys, monkeypatch, tmp_path):
+    import latcover.fpgroups as fpgroups
+    # the base relators and subgroup words pass Todd-Coxeter's check; the
+    # hirzebruch Schreier relators have 1,815 letters as rewritten
+    monkeypatch.setattr(fpgroups, "MAX_WORD_LETTERS", 1000)
+    rc, out, err = run(capsys, "subpres", "--preset", PRESET1,
+                       "--subgroup", "hirzebruch")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: Tietze relators have 1815 letters")
+    # 13 letters on entry, 27 after eliminating a = b^9
+    pres = tmp_path / "grow.txt"
+    pres.write_text("generators: a b\na*b^-9\na^3\n")
+    words = tmp_path / "whole.words"
+    words.write_text("a\nb\n")
+    monkeypatch.setattr(fpgroups, "MAX_WORD_LETTERS", 20)
+    rc, out, err = run(capsys, "subpres", "--pres", str(pres),
+                       "--subgroup", str(words))
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: Tietze relators have 27 letters")
+
+
+def test_subpres_growth_checked_before_expansion(capsys, tmp_path):
+    # 131,073 letters pass both checks on entry; eliminating a = b^65536
+    # turns a^65536 into b^(2^32), which must be refused before any
+    # relator is expanded to letters
+    pres = tmp_path / "grow.txt"
+    pres.write_text("generators: a b\na*b^-65536\na^65536\n")
+    words = tmp_path / "whole.words"
+    words.write_text("a\nb\n")
+    rc, out, err = run(capsys, "subpres", "--pres", str(pres),
+                       "--subgroup", str(words))
+    assert rc == 3
+    assert out == ""
+    assert err.startswith(f"error: Tietze relators have {2 ** 32} letters")
+
+
 def test_main_leaves_no_cyclic_garbage(capsys):
     import gc
     main(["lift", "--preset", PRESET1])

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from latcover import fpgroups
 from latcover.fpgroups import (
     CosetTable,
     EnumerationLimit,
@@ -21,6 +22,8 @@ from latcover.intlinalg import AbelianInvariants, quotient_invariants
 from latcover.nq2 import (class2_quotient, subgroup_abelianization,
                           subgroup_class2)
 from latcover.pathlift import LiftedPresentation
+
+from helpers_latcover import reference_tietze_reduce
 
 
 def w(text, gens):
@@ -287,6 +290,19 @@ def test_tietze_shortens_with_substitution():
     assert sum(len(r) for r in reduced.relators) <= 6
 
 
+def test_tietze_letter_bound_after_a_move(monkeypatch):
+    # 13 letters on entry; eliminating a = b^9 turns a^3 into b^27
+    pres = parse_presentation("generators: a b\na*b^-9\na^3\n")
+    monkeypatch.setattr(fpgroups, "MAX_WORD_LETTERS", 27)
+    assert tietze_reduce(pres).relators == [Word([(0, 27)])]
+    monkeypatch.setattr(fpgroups, "MAX_WORD_LETTERS", 26)
+    with pytest.raises(EnumerationLimit, match="27 letters"):
+        tietze_reduce(pres)
+    monkeypatch.setattr(fpgroups, "MAX_WORD_LETTERS", 12)
+    with pytest.raises(EnumerationLimit, match="13 letters"):
+        tietze_reduce(pres)
+
+
 # ---------------------------------------------------------------- preimage
 
 
@@ -514,14 +530,14 @@ def test_dihedral_table_validity_with_random_subgroups(n, raw_words):
 
 
 @st.composite
-def random_presentation(draw):
-    ngens = draw(st.integers(min_value=1, max_value=4))
-    nrel = draw(st.integers(min_value=0, max_value=4))
+def random_presentation(draw, max_gens=4, max_relators=4, max_syllables=6):
+    ngens = draw(st.integers(min_value=1, max_value=max_gens))
+    nrel = draw(st.integers(min_value=0, max_value=max_relators))
     relators = []
     for _ in range(nrel):
         syl = draw(st.lists(
             st.tuples(st.integers(0, ngens - 1), st.sampled_from([-3, -2, -1, 1, 2, 3])),
-            min_size=0, max_size=6))
+            min_size=0, max_size=max_syllables))
         relators.append(Word(syl))
     return Presentation([f"g{i}" for i in range(ngens)], relators)
 
@@ -535,6 +551,19 @@ def test_tietze_preserves_abelianization(pres):
     after = reduced.abelianization()
     assert (before.free_rank, before.torsion) == (after.free_rank, after.torsion)
     assert reduced.ngens <= pres.ngens
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5, None])
+@given(random_presentation(max_gens=5, max_relators=8, max_syllables=10))
+@settings(max_examples=250, deadline=None)
+def test_tietze_moves_match_reference(steps, pres):
+    # the per-relator records must make the moves of the engine that
+    # rebuilds every relator after every move, up to any step limit
+    with pytest.MonkeyPatch.context() as mp:
+        if steps is not None:
+            mp.setattr(fpgroups, "TIETZE_STEPS", steps)
+        assert (tietze_reduce(pres)
+                == reference_tietze_reduce(pres, fpgroups.TIETZE_STEPS))
 
 
 def _central_abelianization(pres, exps):

@@ -86,6 +86,15 @@ def test_power_matches_repeated_multiplication(w, k):
     assert elt ** k == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(w1=words(3), w2=words(3), k=st.integers(-6, 6))
+def test_times_power_is_one_collection_of_the_product(w1, w2, k):
+    # the Euclid steps of NQ2 collect x * y^k as one word
+    x, y = ClassTwoElement.from_word(3, w1), ClassTwoElement.from_word(3, w2)
+    assert x.times_power(y, k) == x * y ** k
+    assert x.times_power(y, k) == ClassTwoElement.from_word(3, w1 * w2 ** k)
+
+
 # ------------------------------------------------------- quotient invariants
 
 def test_free_rank_two_is_heisenberg():

@@ -1,7 +1,8 @@
 """Scripts outside the package must keep importing against the library: the
 fixture generators under tools/ (their entry points sit behind `__main__`
 guards, so this runs none) and the benchmark's layer tracer, whose targets
-name library functions and methods."""
+name library functions and methods and whose observers read their
+arguments and results."""
 
 import importlib
 import importlib.util
@@ -32,3 +33,33 @@ def test_benchmark_tracer_targets_resolve():
             assert hasattr(owner, part), f"{prefix}: {modname}.{attr} is gone"
             owner = getattr(owner, part)
         assert callable(owner), prefix
+
+
+def test_benchmark_tracer_observers_accept_library_results(capsys):
+    tracer_module = _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    from latcover import cli
+    preset = "dm-5-4-1-1-1-6"
+    hirzebruch = ("--preset", preset, "--subgroup", "hirzebruch")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(["subpres", *hirzebruch]),
+                 cli.main(["nq2", *hirzebruch]),
+                 cli.main(["certify", *hirzebruch]),
+                 cli.main(["nq2", "--preset", preset]),
+                 cli.main(["lift", "--preset", preset])]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 0, 0]
+    sizes = {
+        "fpgroups.tietze_reduce": ("in_gens", "in_relators", "in_length",
+                                   "out_gens", "out_relators", "out_length"),
+        "nq2.class2_quotient": ("wedge_size",),
+        "nq2.rf_certificate": (),
+    }
+    for name, keys in sizes.items():
+        stat = tracer.stats[name]
+        assert stat["calls"] > 0, name
+        for key in keys:
+            assert stat.get(key, 0) > 0, f"{name}.{key}"
