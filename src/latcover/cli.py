@@ -23,8 +23,8 @@ from .fpgroups import (EnumerationLimit, Word, format_word, parse_word,
                        todd_coxeter)
 from .nq2 import (class2_quotient, rf_certificate, subgroup_abelianization,
                   subgroup_class2)
-from .pathlift import (LiftedPresentation, generator_logs, relator_path,
-                       winding_number)
+from .pathlift import (Z_NAME, LiftedPresentation, generator_logs,
+                       relator_path, winding_number)
 from .presets import (Lattice, LatticePreset, dm_lattice, file_lattice,
                       preset_ids, read_words, verify_preset)
 from .su21 import GroupMatrix
@@ -73,8 +73,8 @@ def _require_matrices(lattice: Lattice) -> None:
 
 def _lift(lattice: Lattice, samples: int) -> LiftedPresentation:
     _require_matrices(lattice)
-    if "z" in lattice.presentation.gens:
-        raise InputError("central generator name 'z' collides")
+    if Z_NAME in lattice.presentation.gens:
+        raise InputError(f"central generator name {Z_NAME!r} collides")
     return lattice.lift(samples)
 
 
@@ -130,8 +130,8 @@ def cmd_winding(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
     _require_matrices(lattice)
     pres = lattice.presentation
     names = list(pres.gens)
-    if "z" not in names:
-        names.append("z")
+    if Z_NAME not in names:
+        names.append(Z_NAME)
     try:
         word = parse_word(args.word, names)
     except ValueError as exc:

@@ -391,6 +391,27 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Word] = (),
     return result
 
 
+def _rewrite(rows: List[List[int]], edge_index: Dict[Tuple[int, int], int],
+             columns: Sequence[int], start: int) -> Word:
+    """Schreier generators crossed walking the columns from coset start: the
+    generator edge (coset, g) is crossed forward from coset by column 2g and
+    backward into coset by column 2g+1; tree edges have none."""
+    out = []
+    beta = start
+    for x in columns:
+        if x & 1:
+            beta = rows[beta][x]
+            s = edge_index.get((beta, x >> 1))
+            if s is not None:
+                out.append((s, -1))
+        else:
+            s = edge_index.get((beta, x >> 1))
+            if s is not None:
+                out.append((s, 1))
+            beta = rows[beta][x]
+    return Word(out)
+
+
 class SchreierSystem:
     """Reidemeister-Schreier data: subgroup presentation plus a rewriter that
     expresses any subgroup element (as a word in the ambient generators) in
@@ -409,23 +430,8 @@ class SchreierSystem:
     def rewrite(self, word: Word, start: int = 0) -> Word:
         """Rewrite the trace of word starting at the given coset into Schreier
         generators; for start=0 the word must lie in the subgroup."""
-        # a generator edge (coset, g) is crossed forward from coset by
-        # column 2g and backward into coset by column 2g+1; tree edges have
-        # no Schreier generator
-        out = []
-        beta = start
-        for x in word.columns():
-            if x & 1:
-                beta = self.table.table[beta][x]
-                s = self._edge_index.get((beta, x >> 1))
-                if s is not None:
-                    out.append((s, -1))
-            else:
-                s = self._edge_index.get((beta, x >> 1))
-                if s is not None:
-                    out.append((s, 1))
-                beta = self.table.table[beta][x]
-        return Word(out)
+        return _rewrite(self.table.table, self._edge_index, word.columns(),
+                        start)
 
 
 def schreier_system(table: CosetTable, pres: Presentation) -> SchreierSystem:
@@ -459,13 +465,11 @@ def schreier_system(table: CosetTable, pres: Presentation) -> SchreierSystem:
             if edge not in tree:
                 edge_index[edge] = len(names)
                 names.append(f"s{len(names)}")
-    placeholder = Presentation(names, [])
-    system = SchreierSystem(placeholder, table, edge_index, transversal)
-    relators = [system.rewrite(rel, start=alpha)
-                for alpha in range(table.index)
-                for rel in pres.relators]
-    system.presentation = Presentation(names, relators)
-    return system
+    paths = [rel.columns() for rel in pres.relators]
+    relators = [_rewrite(table.table, edge_index, path, alpha)
+                for alpha in range(table.index) for path in paths]
+    return SchreierSystem(Presentation(names, relators), table, edge_index,
+                          transversal)
 
 
 class _Relator:
@@ -528,8 +532,9 @@ def tietze_reduce(pres: Presentation) -> Presentation:
         repl = tail.inv() if syl[pos][1] == 1 else tail
         inv_repl = repl.inv()
         # each letter gen^(+-1) becomes len(repl) letters
+        grow = len(repl) - 1
         _check_letters("Tietze relators", sum(
-            r.length + r.counts.get(gen, 0) * (len(repl) - 1) for r in rels))
+            r.length + r.counts.get(gen, 0) * grow for r in rels))
         for i, r in enumerate(rels):
             if gen in r.counts:
                 out: List[Tuple[int, int]] = []

@@ -72,8 +72,8 @@ class ClassTwoElement:
 
     def __init__(self, n: int, a: Sequence[int], m: Sequence[int]):
         self.n = n
-        self.a = tuple(int(x) for x in a)
-        self.m = tuple(int(x) for x in m)
+        self.a = tuple(a)
+        self.m = tuple(m)
         if len(self.a) != n or len(self.m) != wedge_size(n):
             raise ValueError(f"coordinate lengths {len(self.a)}/{len(self.m)} "
                              f"do not fit rank {n}")
@@ -140,8 +140,8 @@ class NQ2Image:
 
     def __init__(self, a: Sequence[int], m: Sequence[int],
                  order: Optional[int]):
-        self.a = tuple(int(x) for x in a)
-        self.m = tuple(int(x) for x in m)
+        self.a = tuple(a)
+        self.m = tuple(m)
         self.order = order
 
     def __eq__(self, other) -> bool:
@@ -306,11 +306,11 @@ def _unit_elimination(rows: List[Dict[int, int]], frozen: Optional[int]
 
 
 class _SchreierElimination:
-    """Schreier relators of a subgroup (each with its z-power appended when
-    central exponents are given; z is generator `ngens`) and the unit-pivot
-    elimination of their exponent-sum rows."""
+    """Schreier relators of a subgroup (each with its base relator's z-power
+    appended when central exponents are given; z is generator `ngens`) and
+    the unit-pivot elimination of their exponent-sum rows."""
 
-    __slots__ = ("words", "rows", "pivots", "log", "survivors")
+    __slots__ = ("words", "rows", "pivots", "pivot_rows", "log", "survivors")
 
     def __init__(self, table: CosetTable, pres: Presentation,
                  central: Optional[Sequence[int]] = None):
@@ -319,13 +319,14 @@ class _SchreierElimination:
         zcol = None
         self.words = [rel.syllables for rel in schreier.relators]
         if central is not None:
-            if len(central) != len(self.words):
+            if len(central) != len(pres.relators):
                 raise ValueError(f"{len(central)} central exponents for "
-                                 f"{len(self.words)} Schreier relators")
+                                 f"{len(pres.relators)} base relators")
             zcol = ngens
             ngens += 1
-            self.words = [w + ((zcol, k),) if k else w
-                          for w, k in zip(self.words, central)]
+            # the Schreier relators run coset by coset over the base relators
+            self.words = [w + ((zcol, k),) if k else w for w, k in
+                          zip(self.words, list(central) * table.index)]
         self.rows = []
         for word in self.words:
             row: Dict[int, int] = {}
@@ -333,22 +334,17 @@ class _SchreierElimination:
                 row[g] = row.get(g, 0) + e
             self.rows.append({g: e for g, e in row.items() if e})
         self.pivots, self.log = _unit_elimination(self.rows, zcol)
+        self.pivot_rows = {p for _, p, _ in self.pivots}
         pivoted = {col for col, _, _ in self.pivots}
         self.survivors = [c for c in range(ngens) if c not in pivoted]
-
-    def free_rows(self) -> List[Tuple[int, Dict[int, int]]]:
-        """The rows that did not pivot, with their relator indices."""
-        pivot_rows = {p for _, p, _ in self.pivots}
-        return [(i, row) for i, row in enumerate(self.rows)
-                if i not in pivot_rows]
 
 
 def _back_substitute(elim: _SchreierElimination,
                      known: Dict[int, List[int]],
-                     constants: Sequence[Sequence[int]]
+                     constants: Dict[int, List[int]]
                      ) -> Dict[int, List[int]]:
-    """Solve each pivot row's relation sum_c row[c]*x_c + constant = 0 on
-    its unit pivot, in reverse elimination order.  known holds the
+    """Solve each pivot row p's relation sum_c row[c]*x_c + constants[p] = 0
+    on its unit pivot, in reverse elimination order.  known holds the
     survivors' values; a survivor missing from it is zero."""
     x = dict(known)
     for col, p, unit in reversed(elim.pivots):
@@ -366,11 +362,13 @@ def subgroup_class2(table: CosetTable, pres: Presentation,
     """Class-2 quotient of the subgroup whose cosets the table enumerates,
     built from its Schreier relators without Tietze reduction.
 
-    With central exponents (one per Schreier relator, coset-major), the
-    group is the subgroup's preimage in a central extension: relator i
-    carries z^central[i], z is central and is the last generator.  The
-    quotient's generators are the columns D that survive unit-pivot
-    elimination; MAX_WEDGE_SIZE bounds |D|.
+    With central exponents (one per base relator), the group is the
+    subgroup's preimage in a central extension: each Schreier relator
+    carries its base relator's z-power, z is central and is the last
+    generator.  The quotient's generators are the columns D that survive
+    unit-pivot elimination; MAX_WEDGE_SIZE bounds |D|.  Each Schreier
+    relator is collected once under the solved images: a pivot relator must
+    give the identity, and the others are the quotient's relators.
     """
     elim = _SchreierElimination(table, pres, central)
     survivors = elim.survivors
@@ -380,25 +378,27 @@ def subgroup_class2(table: CosetTable, pres: Presentation,
     a = _back_substitute(
         elim, {c: [int(k == i) for i in range(n)]
                for k, c in enumerate(survivors)},
-        [[0] * n] * len(elim.rows))
+        dict.fromkeys(elim.pivot_rows, [0] * n))
     letters = {c: (v, None) for c, v in a.items()}
-    # a relator's constant: its m-part with every letter set to (a, 0)
-    constants = [_collect(word, letters, n)[1] for word in elim.words]
+    # a pivot row's constant: its m-part with every letter set to (a, 0),
+    # carried through the row operations that reduced it
+    constants = {p: _collect(elim.words[p], letters, n)[1]
+                 for p in elim.pivot_rows}
     for i, q, p in elim.log:
-        constants[i] = [x - q * y for x, y in zip(constants[i], constants[p])]
+        if i in constants:
+            constants[i] = [x - q * y
+                            for x, y in zip(constants[i], constants[p])]
     # commutator coordinates, zero on D
     m = _back_substitute(elim, {}, constants)
     images = {c: (v, m.get(c)) for c, v in a.items()}
-    zero = ([0] * n, [0] * wedge_size(n))
-    for _, p, _ in elim.pivots:
-        if _collect(elim.words[p], images, n) != zero:
-            raise AssertionError("a pivot relator survives its own "
-                                 "elimination")
     relators: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], None] = {}
-    for i, row in elim.free_rows():
-        key = (tuple(row.get(c, 0) for c in survivors), tuple(constants[i]))
-        if any(key[0]) or any(key[1]):
-            relators.setdefault(key)
+    for i, word in enumerate(elim.words):
+        ka, km = _collect(word, images, n)
+        if any(ka) or any(km):
+            if i in elim.pivot_rows:
+                raise AssertionError("a pivot relator survives its own "
+                                     "elimination")
+            relators.setdefault((tuple(ka), tuple(km)))
     elements = [ClassTwoElement(n, ka, km) for ka, km in relators]
     if central is not None:
         z = Word.gen(n - 1)
@@ -413,8 +413,8 @@ def subgroup_abelianization(table: CosetTable,
     """H1 of the subgroup whose cosets the table enumerates: the rows left
     by unit-pivot elimination of its Schreier relators, over the survivors."""
     elim = _SchreierElimination(table, pres)
-    rows = [[row.get(c, 0) for c in elim.survivors]
-            for _, row in elim.free_rows() if row]
+    rows = [[row.get(c, 0) for c in elim.survivors] for i, row in
+            enumerate(elim.rows) if row and i not in elim.pivot_rows]
     return quotient_invariants(len(elim.survivors), rows)
 
 
@@ -492,9 +492,7 @@ def rf_certificate(lp, subgroup_words: Optional[Sequence[Word]] = None,
     digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     table = todd_coxeter(lp.base, subgroup_words, max_cosets=max_cosets)
-    # the Schreier relators run coset by coset over the base relators
-    quotient = subgroup_class2(table, lp.base,
-                               central=lp.exponents * table.index)
+    quotient = subgroup_class2(table, lp.base, central=lp.exponents)
     image = quotient.image(Word.gen(quotient.n - 1))
     if image.order is None:
         location = ("abelianization"

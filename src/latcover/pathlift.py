@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ ARG_STEP_LIMIT = math.pi / 2
 SNAP_TOL = 0.05
 DEFAULT_SAMPLES_PER_LETTER = 256
 REFINE_BUDGET = 2 ** 16
+Z_NAME = "z"  # the central generator of lifted presentations
 # bound on len(word) * samples_per_letter, checked before any allocation
 MAX_PATH_SAMPLES = 2 ** 22
 
@@ -33,11 +34,10 @@ class GeneratorLog:
     """Anti-hermitian logarithm of an elliptic generator with its spectral
     data cached for fast path evaluation."""
 
-    __slots__ = ("index", "v", "thetas", "vecs", "vecs_inv")
+    __slots__ = ("v", "thetas", "vecs", "vecs_inv")
 
-    def __init__(self, index: int, thetas: np.ndarray, vecs: np.ndarray,
+    def __init__(self, thetas: np.ndarray, vecs: np.ndarray,
                  vecs_inv: np.ndarray):
-        self.index = index
         self.thetas = np.asarray(thetas, dtype=float)
         self.vecs = np.asarray(vecs, dtype=complex)
         self.vecs_inv = np.asarray(vecs_inv, dtype=complex)
@@ -62,17 +62,17 @@ class GeneratorLog:
         return phases @ coeffs
 
 
-def central_log(index: int = -1) -> GeneratorLog:
+def central_log() -> GeneratorLog:
     """Log of the central element zeta_3*Id (the distinguished lift z)."""
     eye = np.eye(3, dtype=complex)
-    return GeneratorLog(index, CENTRAL_THETA.copy(), eye, eye.copy())
+    return GeneratorLog(CENTRAL_THETA.copy(), eye, eye.copy())
 
 
 def generator_logs(numeric: Sequence[np.ndarray]) -> List[GeneratorLog]:
     """Logs of standard-form generator matrices in order, followed by the
     central log, which serves the letter z."""
-    logs = [elliptic_log(mat, index=i) for i, mat in enumerate(numeric)]
-    logs.append(central_log(index=len(logs)))
+    logs = [elliptic_log(mat) for mat in numeric]
+    logs.append(central_log())
     return logs
 
 
@@ -101,7 +101,7 @@ def _split_repeated_eigenspace(vecs: np.ndarray, i: int, j: int) -> np.ndarray:
     return out
 
 
-def elliptic_log(g: np.ndarray, index: int = 0, tol: float = EXP_TOL) -> GeneratorLog:
+def elliptic_log(g: np.ndarray) -> GeneratorLog:
     """Traceless anti-hermitian log of an elliptic or central SU(2,1) matrix,
     eigenvalue arguments branch (-pi, pi] before the traceless adjustment."""
     mat = np.asarray(g, dtype=complex)
@@ -111,11 +111,11 @@ def elliptic_log(g: np.ndarray, index: int = 0, tol: float = EXP_TOL) -> Generat
         zeta3 = cmath.exp(2j * math.pi / 3)
         eye = np.eye(3, dtype=complex)
         if abs(value - 1.0) < 1e-9:
-            return GeneratorLog(index, np.zeros(3), eye, eye.copy())
+            return GeneratorLog(np.zeros(3), eye, eye.copy())
         if abs(value - zeta3) < 1e-9:
-            return GeneratorLog(index, CENTRAL_THETA.copy(), eye, eye.copy())
+            return GeneratorLog(CENTRAL_THETA.copy(), eye, eye.copy())
         if abs(value - zeta3 ** 2) < 1e-9:
-            return GeneratorLog(index, -CENTRAL_THETA.copy(), eye, eye.copy())
+            return GeneratorLog(-CENTRAL_THETA.copy(), eye, eye.copy())
         raise ValueError(f"scalar {value} is not in SU(3)")
 
     vals, vecs = np.linalg.eig(mat)
@@ -146,11 +146,11 @@ def elliptic_log(g: np.ndarray, index: int = 0, tol: float = EXP_TOL) -> Generat
         raise ValueError(f"unexpected branch shift {shift}")
 
     vecs_inv = np.linalg.inv(vecs)
-    log = GeneratorLog(index, thetas, vecs, vecs_inv)
+    log = GeneratorLog(thetas, vecs, vecs_inv)
     residual = float(np.max(np.abs(log.matrix() - mat)))
-    if residual > tol:
+    if residual > EXP_TOL:
         raise ValueError(f"log reconstruction residual {residual:.3e} "
-                         f"exceeds {tol}")
+                         f"exceeds {EXP_TOL}")
     if abs(np.trace(log.v)) > 1e-9:
         raise AssertionError("log is not traceless")
     herm = np.max(np.abs(log.v.conj().T @ _H_STD + _H_STD @ log.v))
@@ -167,15 +167,11 @@ class RelatorPath:
     letters already traversed.
     """
 
-    __slots__ = ("word", "s", "values", "segments", "letters")
+    __slots__ = ("s", "values")
 
-    def __init__(self, word: Word, s: np.ndarray, values: np.ndarray,
-                 segments: np.ndarray, letters: List[Tuple[int, int]]):
-        self.word = word
+    def __init__(self, s: np.ndarray, values: np.ndarray):
         self.s = s
         self.values = values
-        self.segments = segments
-        self.letters = letters
         if abs(values[0] - 1.0) > 1e-12:
             raise ValueError("path must start at 1")
         moduli = np.abs(values)
@@ -201,10 +197,10 @@ class RelatorPath:
 
 
 def relator_path(word: Word, logs: Sequence[GeneratorLog],
-                 samples_per_letter: int = DEFAULT_SAMPLES_PER_LETTER,
-                 budget: int = REFINE_BUDGET) -> RelatorPath:
+                 samples_per_letter: int = DEFAULT_SAMPLES_PER_LETTER
+                 ) -> RelatorPath:
     """Sample the projected path of a word, refining each segment until
-    consecutive samples turn by less than pi/2."""
+    consecutive samples turn by less than pi/2, up to REFINE_BUDGET samples."""
     nominal = len(word) * samples_per_letter
     if nominal > MAX_PATH_SAMPLES:
         raise ValueError(f"path needs {nominal} samples ({len(word)} letters "
@@ -213,7 +209,6 @@ def relator_path(word: Word, logs: Sequence[GeneratorLog],
     letters = list(reversed(word.letters()))  # rightmost letter acts first
     s_parts = [np.array([0.0])]
     value_parts = [np.array([1.0 + 0.0j])]
-    seg_parts = [np.array([0], dtype=int)]
     nletters = max(len(letters), 1)
     accumulated = np.eye(3, dtype=complex)
 
@@ -229,23 +224,19 @@ def relator_path(word: Word, logs: Sequence[GeneratorLog],
             steps = np.abs(np.angle(all_vals[1:] / all_vals[:-1]))
             if float(steps.max()) < ARG_STEP_LIMIT:
                 break
-            if n >= budget:
+            if n >= REFINE_BUDGET:
                 raise ValueError(f"segment {seg} still turns too fast at "
-                                 f"{n} samples (budget {budget})")
+                                 f"{n} samples (budget {REFINE_BUDGET})")
             n *= 2
         s_parts.append((seg + times) / nletters)
         value_parts.append(values)
-        seg_parts.append(np.full(n, seg, dtype=int))
         accumulated = log.exp_at(1.0, sign) @ accumulated
 
     if not letters:
         s_parts.append(np.array([1.0]))
         value_parts.append(np.array([1.0 + 0.0j]))
-        seg_parts.append(np.array([0], dtype=int))
 
-    return RelatorPath(word, np.concatenate(s_parts),
-                       np.concatenate(value_parts),
-                       np.concatenate(seg_parts), letters)
+    return RelatorPath(np.concatenate(s_parts), np.concatenate(value_parts))
 
 
 def winding_number(path: RelatorPath) -> int:
@@ -267,17 +258,16 @@ class LiftedPresentation:
     """Base presentation extended by a central generator z, with the central
     exponent k_i for each base relator meaning relator * z^(k_i) = 1."""
 
-    __slots__ = ("base", "z_name", "exponents")
+    __slots__ = ("base", "exponents")
+    z_name = Z_NAME
 
-    def __init__(self, base: Presentation, exponents: Sequence[int],
-                 z_name: str = "z"):
+    def __init__(self, base: Presentation, exponents: Sequence[int]):
         if len(exponents) != len(base.relators):
             raise ValueError("need one central exponent per base relator")
-        if z_name in base.gens:
-            raise ValueError(f"central generator name {z_name!r} collides")
+        if Z_NAME in base.gens:
+            raise ValueError(f"central generator name {Z_NAME!r} collides")
         self.base = base
         self.exponents = list(int(k) for k in exponents)
-        self.z_name = z_name
 
     def to_presentation(self) -> Presentation:
         """Presentation on base generators plus z: lifted relators and
@@ -289,13 +279,13 @@ class LiftedPresentation:
         for g in range(self.base.ngens):
             gw = Word.gen(g)
             relators.append(gw * z * gw.inv() * z.inv())
-        return Presentation(self.base.gens + [self.z_name], relators)
+        return Presentation(self.base.gens + [Z_NAME], relators)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LiftedPresentation):
             return NotImplemented
-        return (self.base == other.base and self.exponents == other.exponents
-                and self.z_name == other.z_name)
+        return (self.base == other.base
+                and self.exponents == other.exponents)
 
     def __repr__(self) -> str:
         rels = ", ".join(
@@ -369,4 +359,4 @@ def normalize_lift(lp: LiftedPresentation) -> LiftedPresentation:
     straight = normal_form(lp.exponents)
     flipped = normal_form([-k for k in lp.exponents])
     chosen = max(straight, flipped)
-    return LiftedPresentation(base, chosen, lp.z_name)
+    return LiftedPresentation(base, chosen)

@@ -139,12 +139,12 @@ class Lattice:
             return [self.standard_numerics[g] for g in self.presentation.gens]
         return [self.matrices[g].numeric for g in self.presentation.gens]
 
-    def lift(self, samples_per_letter: int = DEFAULT_SAMPLES_PER_LETTER,
-             normalized: bool = True) -> LiftedPresentation:
-        """Lift to the universal cover; canonical generator gauge by default."""
-        lifted = lift_presentation(self.presentation, self.central_powers(),
-                                   self.numerics(), samples_per_letter)
-        return normalize_lift(lifted) if normalized else lifted
+    def lift(self, samples_per_letter: int = DEFAULT_SAMPLES_PER_LETTER
+             ) -> LiftedPresentation:
+        """Lift to the universal cover, in the canonical generator gauge."""
+        return normalize_lift(lift_presentation(
+            self.presentation, self.central_powers(), self.numerics(),
+            samples_per_letter))
 
 
 def file_lattice(pres_path: Path, matrices_path: Optional[Path] = None

@@ -9,6 +9,7 @@ from latcover.exactnum import (CycloElt, cyclotomic_polynomial, to_literal,
 from latcover.fpgroups import Presentation, Word, braid_relator
 from latcover.intlinalg import hnf, quotient_invariants, saturation_order
 from latcover.nq2 import ClassTwoElement, _unit_wedge, wedge_size
+from latcover.pathlift import LiftedPresentation, lift_presentation
 from latcover.presets import Lattice
 from latcover.su21 import GroupMatrix, HermitianForm, scale_to_su
 
@@ -308,6 +309,12 @@ def picard_lattice(pres: Presentation) -> Lattice:
     """The (5,4,1,1,1)/6 generator matrices attached to a presentation on b, u, v."""
     form, b0, u0, v0 = picard_unscaled()
     return Lattice(pres, form, {"b": b0, "u": u0, "v": v0})
+
+
+def raw_lift(lattice: Lattice) -> LiftedPresentation:
+    """The lattice's lift before the generator gauge is normalized."""
+    return lift_presentation(lattice.presentation, lattice.central_powers(),
+                             lattice.numerics())
 
 
 def reference_tietze_reduce(pres: Presentation,

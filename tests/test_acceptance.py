@@ -71,8 +71,8 @@ def test_acceptance_03_exact_relator_values():
 def test_acceptance_04_winding_figures():
     preset = dm_lattice(PRESET1)
     numeric = [preset.matrices[g].numeric for g in preset.presentation.gens]
-    logs = [elliptic_log(m, index=i) for i, m in enumerate(numeric)]
-    logs.append(central_log(index=3))
+    logs = [elliptic_log(m) for m in numeric]
+    logs.append(central_log())
     b = Word.gen(0)
 
     open_path = relator_path(b ** 3, logs)
@@ -115,8 +115,7 @@ def test_acceptance_05_index_72_certificate():
     assert cert.z_location == "derived part"
     assert cert.verdict == "INFINITE_ORDER"
 
-    lifted_q = subgroup_class2(table, pres,
-                               central=lifted.exponents * table.index)
+    lifted_q = subgroup_class2(table, pres, central=lifted.exponents)
     epsilon = (lifted_q.derived_part.free_rank
                - base_q.derived_part.free_rank)
     assert epsilon == 1
@@ -153,7 +152,7 @@ def test_acceptance_06_stretch_surface_numbers():
     assert base_q.derived_part.describe() == "Z^29"
 
     lifted = preset.lift()
-    q = subgroup_class2(table, pres, central=lifted.exponents * table.index)
+    q = subgroup_class2(table, pres, central=lifted.exponents)
     z_word = Word.gen(q.n - 1)
     assert q.abelianization.describe() == "Z^14"
     assert q.derived_part.describe() == "Z/4 x Z^28"

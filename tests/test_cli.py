@@ -505,16 +505,18 @@ def test_oversized_survivor_set_exits_3(capsys, monkeypatch, command):
     assert "over the limit" in err
 
 
+@pytest.mark.parametrize("part", ["a-part", "m-part"])
 @pytest.mark.parametrize("command", ["nq2", "certify"])
-def test_corrupted_m_part_trips_self_check(capsys, monkeypatch, command):
-    # one eliminated generator's commutator coordinates off by one: some
-    # pivot relator no longer maps to the identity
+def test_corrupted_m_part_trips_self_check(capsys, monkeypatch, command, part):
+    # one eliminated generator's abelian or commutator coordinates off by
+    # one: some pivot relator no longer maps to the identity
     import latcover.nq2 as nq2
     solve = nq2._back_substitute
 
     def corrupted(elim, known, constants):
         x = solve(elim, known, constants)
-        if not known:  # the m-parts, zero on the survivors
+        # the a-pass knows the survivors' unit vectors, the m-pass nothing
+        if bool(known) == (part == "a-part"):
             col = elim.pivots[len(elim.pivots) // 2][0]
             x[col] = [x[col][0] + 1] + x[col][1:]
         return x

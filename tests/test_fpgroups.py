@@ -331,7 +331,7 @@ def _preimage_quotient(lp, table):
     """Class-2 quotient of the preimage, in the lifted group, of the
     subgroup the table enumerates, by the Schreier route with central
     exponents."""
-    return subgroup_class2(table, lp.base, central=lp.exponents * table.index)
+    return subgroup_class2(table, lp.base, central=lp.exponents)
 
 
 def _reference_quotient(lp, words):
@@ -407,7 +407,7 @@ def test_subgroup_class2_duplicate_and_inverse_relators():
     # the subgroup of index 3: a^3 is its one Schreier generator
     table = todd_coxeter(pres, [])
     assert table.index == 3
-    q = subgroup_class2(table, pres, central=[1, 1] * 3)
+    q = subgroup_class2(table, pres, central=[1, 1])
     assert q.n == 1 and q.image(Word.gen(0)).order == 2
 
 

@@ -36,8 +36,8 @@ def lifted(preset):
 @pytest.fixture(scope="module")
 def lifted_quotient(lifted, words):
     table = todd_coxeter(lifted.base, words, max_cosets=200000)
-    return table.index, subgroup_class2(
-        table, lifted.base, central=lifted.exponents * table.index)
+    return table.index, subgroup_class2(table, lifted.base,
+                                        central=lifted.exponents)
 
 
 def test_fixture_is_listed(preset):

@@ -16,7 +16,7 @@ from latcover.nq2 import (NQ2, Certificate, ClassTwoElement, NQ2Image,
 from latcover.pathlift import LiftedPresentation
 
 from helpers_latcover import (TransformNQ2, picard_lattice,
-                              picard_presentation, relation_rows)
+                              picard_presentation, raw_lift, relation_rows)
 
 
 def words(n, max_syllables=6, max_exp=3):
@@ -530,7 +530,7 @@ def test_nq2_limit_admits_stretch_sizes():
 # --------------------------------------------------- lifted presentations
 
 def test_lifted_relators_and_centrality():
-    lp = picard_lattice(picard_presentation(6)).lift(normalized=False)
+    lp = raw_lift(picard_lattice(picard_presentation(6)))
     lifted = lp.to_presentation()
     q = class2_quotient(lifted)
     for rel in lifted.relators:
@@ -544,7 +544,7 @@ def test_lifted_relators_and_centrality():
 
 
 def test_whole_group_certificate_is_inconclusive_for_picard():
-    lp = picard_lattice(picard_presentation(6)).lift(normalized=False)
+    lp = raw_lift(picard_lattice(picard_presentation(6)))
     cert = rf_certificate(lp)
     assert cert.verdict == "INCONCLUSIVE"
     assert cert.z_image.order == 1

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from helpers_latcover import picard_lattice, picard_presentation, picard_scaled
+from helpers_latcover import (picard_lattice, picard_presentation,
+                              picard_scaled, raw_lift)
 from latcover.exactnum import zeta
 from latcover.fpgroups import Presentation, Word, braid_relator
 from latcover.pathlift import (
@@ -86,7 +87,7 @@ def test_log_rejects_parabolic():
 
 
 def test_central_log_turns_one_third():
-    path = relator_path(Word.gen(0), [central_log(0)])
+    path = relator_path(Word.gen(0), [central_log()])
     assert abs(path.endpoint - ZETA3) < 1e-12
     assert abs(path.total_argument() / TWO_PI - 1 / 3) < 1e-9
 
@@ -96,8 +97,8 @@ def test_central_log_turns_one_third():
 
 def _picard_logs():
     _, b, u, v = picard_scaled()
-    logs = [elliptic_log(g.numeric, index=i) for i, g in enumerate((b, u, v))]
-    logs.append(central_log(index=3))
+    logs = [elliptic_log(g.numeric) for g in (b, u, v)]
+    logs.append(central_log())
     return logs
 
 
@@ -149,9 +150,11 @@ def test_path_sample_structure():
     path = relator_path(Word.gen(0) ** 3, logs, samples_per_letter=64)
     assert path.values[0] == 1.0
     assert np.min(np.abs(path.values)) > 1e-6
-    assert len(path.letters) == 3
+    assert len(path.s) == len(path.values)
     assert path.s[0] == 0.0 and path.s[-1] == 1.0
-    assert set(path.segments.tolist()) == {0, 1, 2}
+    # three segments, each ending on a sample at s = 1/3, 2/3, 1
+    assert np.all(np.diff(path.s) > 0)
+    assert {1 / 3, 2 / 3} <= set(path.s.tolist())
     steps = np.abs(np.angle(path.values[1:] / path.values[:-1]))
     assert float(steps.max()) < math.pi / 2
 
@@ -165,11 +168,13 @@ def test_refinement_kicks_in():
     assert path.total_argument() / TWO_PI == pytest.approx(5 / 3, abs=1e-6)
 
 
-def test_refinement_budget_error():
+def test_refinement_budget_error(monkeypatch):
+    import latcover.pathlift as pathlift
+    monkeypatch.setattr(pathlift, "REFINE_BUDGET", 2)
     eye = np.eye(3, dtype=complex)
-    wild = GeneratorLog(0, np.array([4.0, -8.0, 4.0]), eye, eye.copy())
+    wild = GeneratorLog(np.array([4.0, -8.0, 4.0]), eye, eye.copy())
     with pytest.raises(ValueError, match="budget"):
-        relator_path(Word.gen(0), [wild], samples_per_letter=1, budget=2)
+        relator_path(Word.gen(0), [wild], samples_per_letter=1)
 
 
 def test_conjugation_invariance():
@@ -186,8 +191,8 @@ def test_conjugation_invariance():
     words = [Word.gen(0) ** 9, Word.gen(2) ** 18, braid_relator(0, 2, 2),
              braid_relator(0, 1, 3), braid_relator(1, 2, 4)]
     for word in words:
-        logs_a = [elliptic_log(m, index=i) for i, m in enumerate(mats)]
-        logs_b = [elliptic_log(m, index=i) for i, m in enumerate(conj)]
+        logs_a = [elliptic_log(m) for m in mats]
+        logs_b = [elliptic_log(m) for m in conj]
         assert (winding_number(relator_path(word, logs_a))
                 == winding_number(relator_path(word, logs_b)))
 
@@ -234,7 +239,7 @@ def test_lift_toy_central_generator():
     form = HermitianForm.standard()
     pres = Presentation(["a"], [Word.gen(0) ** 3])
     lattice = Lattice(pres, form, {"a": GroupMatrix.scalar(zeta(3), form)})
-    lifted = lattice.lift(normalized=False)
+    lifted = raw_lift(lattice)
     assert lifted.exponents == [-3]
     normalized = normalize_lift(lifted)
     assert normalized.exponents == [0]
@@ -242,7 +247,7 @@ def test_lift_toy_central_generator():
 
 def test_lift_picard_presentation():
     pres = picard_presentation(6)
-    lifted = picard_lattice(pres).lift(normalized=False)
+    lifted = raw_lift(picard_lattice(pres))
     # hand-integrated anchors: the b-cube loop closes after two central
     # corrections with one clockwise turn; the v-sixth loop with one
     # counterclockwise turn
