@@ -12,8 +12,9 @@ import argparse
 import functools
 import os
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -96,24 +97,32 @@ def cmd_lift(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
 # ------------------------------------------------------------------ winding
 
 
+# rows are formatted from Python floats, which format several times faster
+# than numpy scalars, converted one slice at a time so that the converted
+# copy stays small even at MAX_PATH_SAMPLES
+_SAMPLE_SLICE = 1024
+
+
+def _format_rows(row: str, *columns) -> Iterator[str]:
+    """`row` formatted once per sample, with one field from each numpy
+    column, one string per slice of samples."""
+    for lo in range(0, len(columns[0]), _SAMPLE_SLICE):
+        floats = [c[lo:lo + _SAMPLE_SLICE].tolist() for c in columns]
+        yield (row * len(floats[0])).format(*chain.from_iterable(zip(*floats)))
+
+
 def _svg(path) -> str:
-    xs = [float(v.real) for v in path.values]
-    ys = [float(v.imag) for v in path.values]
-    lo = min(min(xs), min(ys))
-    hi = max(max(xs), max(ys))
+    xs, ys = path.values.real, path.values.imag
+    lo = float(min(xs.min(), ys.min()))
+    hi = float(max(xs.max(), ys.max()))
     span = max(hi - lo, 1e-9)
     pad = 0.1 * span
     lo, span = lo - pad, span + 2 * pad
     size = 600.0
-
-    def sx(x: float) -> float:
-        return (x - lo) / span * size
-
-    def sy(y: float) -> float:
-        return size - (y - lo) / span * size
-
-    points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-    x0, y0 = sx(xs[0]), sy(ys[0])
+    px = (xs - lo) / span * size
+    py = size - (ys - lo) / span * size
+    points = "".join(_format_rows("{:.2f},{:.2f} ", px, py))[:-1]
+    x0, y0 = float(px[0]), float(py[0])
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size:.0f} '
         f'{size:.0f}">\n'
@@ -137,21 +146,20 @@ def cmd_winding(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     path = relator_path(word, generator_logs(lattice.numerics()), args.samples)
-    lines = []
     if args.open_path:
         end = path.endpoint
-        lines.append(f"endpoint: {end.real:.9f} {end.imag:+.9f}i")
+        head = f"endpoint: {end.real:.9f} {end.imag:+.9f}i\n"
     else:
-        lines.append(f"winding: {winding_number(path)}")
-    lines.append("s,re,im")
-    for s, value in zip(path.s, path.values):
-        lines.append(f"{s:.9f},{value.real:.9f},{value.imag:.9f}")
+        head = f"winding: {winding_number(path)}\n"
     if args.svg:
         try:
             Path(args.svg).write_text(_svg(path))
         except OSError as exc:
             raise InputError(f"cannot write SVG trace: {exc}") from None
-    return "\n".join(lines) + "\n", EXIT_OK
+    # one join, so that the whole report is built only once
+    return "".join([head, "s,re,im\n", *_format_rows(
+        "{:.9f},{:.9f},{:.9f}\n", path.s, path.values.real,
+        path.values.imag)]), EXIT_OK
 
 
 # ------------------------------------------------------------------ verify

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -77,6 +77,26 @@ def _reduced(n: int, num: list, den: int) -> Tuple[Tuple[int, ...], int]:
     return tuple(c // g for c in num), den // g
 
 
+def _stretched(num, step: int):
+    """Numerators at a conductor `step` times larger (zeta_n^k is
+    zeta_(n*step)^(k*step)), not yet reduced."""
+    if step == 1:
+        return num
+    out = [0] * ((len(num) - 1) * step + 1)
+    out[::step] = num
+    return out
+
+
+def _convolve(out: list, a, b, scale: int) -> None:
+    """Add scale times the product of the polynomials a and b into out."""
+    for i, x in enumerate(a):
+        if x:
+            x *= scale
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+
+
 class CycloElt:
     """An element of Q(zeta_n): integer numerators `num` of the powers
     zeta_n^0 .. zeta_n^(phi(n)-1) over one positive denominator `den`, with
@@ -122,11 +142,7 @@ class CycloElt:
             return self
         if m % self.n != 0:
             raise ValueError(f"cannot promote conductor {self.n} to {m}")
-        step = m // self.n
-        out = [0] * ((len(self.num) - 1) * step + 1)
-        for k, c in enumerate(self.num):
-            out[k * step] = c
-        return CycloElt._of(m, out, self.den)
+        return CycloElt._of(m, _stretched(self.num, m // self.n), self.den)
 
     def _unified(self, other) -> Tuple["CycloElt", "CycloElt"]:
         other = _coerce(other, self.n)
@@ -163,11 +179,7 @@ class CycloElt:
     def __mul__(self, other) -> "CycloElt":
         a, b = self._unified(other)
         out = [0] * (len(a.num) + len(b.num) - 1)
-        for i, x in enumerate(a.num):
-            if x:
-                for j, y in enumerate(b.num):
-                    if y:
-                        out[i + j] += x * y
+        _convolve(out, a.num, b.num, 1)
         return CycloElt._of(a.n, out, a.den * b.den)
 
     __rmul__ = __mul__
@@ -243,6 +255,21 @@ def _coerce(value, n: int) -> CycloElt:
     if isinstance(value, (int, Fraction)):
         return CycloElt.rational(value, 1)
     raise TypeError(f"cannot interpret {value!r} as a cyclotomic element")
+
+
+def dot(xs: Sequence[CycloElt], ys: Sequence[CycloElt]) -> CycloElt:
+    """sum(x * y for x, y in zip(xs, ys)) at the lcm of all the conductors:
+    each product is convolved at that conductor over one common denominator,
+    and the sum is reduced modulo Phi once."""
+    m = lcm(*(e.n for e in xs), *(e.n for e in ys))
+    terms = [(_stretched(x.num, m // x.n), _stretched(y.num, m // y.n),
+              x.den * y.den) for x, y in zip(xs, ys)
+             if any(x.num) and any(y.num)]
+    den = lcm(*(d for _, _, d in terms))
+    out = [0] * max([len(a) + len(b) - 1 for a, b, _ in terms], default=0)
+    for a, b, d in terms:
+        _convolve(out, a, b, den // d)
+    return CycloElt._of(m, out, den)
 
 
 def zeta(n: int, k: int = 1) -> CycloElt:

@@ -81,12 +81,17 @@ def read_words(path: Path, presentation: Presentation) -> List[Word]:
 
 
 def central_power(word: Word, gens: Sequence[GroupMatrix],
+                  inverses: Sequence[GroupMatrix],
                   form: HermitianForm) -> Optional[int]:
-    """j in {0,1,2} with the exact product of word over gens equal to
-    zeta_3^j * Id, or None when the product is not such a central element."""
-    product = GroupMatrix.identity(form)
+    """j in {0,1,2} with the exact product of word over gens (negative
+    syllables read from `inverses`) equal to zeta_3^j * Id, or None when the
+    product is not such a central element."""
+    product = None
     for g, e in word.syllables:
-        product = product * gens[g] ** e
+        factor = gens[g] ** e if e > 0 else inverses[g] ** -e
+        product = factor if product is None else product * factor
+    if product is None:
+        product = GroupMatrix.identity(form)
     for j in range(3):
         if product == GroupMatrix.scalar(zeta(3) ** j, form):
             return j
@@ -129,7 +134,8 @@ class Lattice:
         """Each relator's exact central power (see `central_power`)."""
         if self._powers is None:
             gens = [self.matrices[g] for g in self.presentation.gens]
-            self._powers = [central_power(rel, gens, self.form)
+            inverses = [g.inv() for g in gens]
+            self._powers = [central_power(rel, gens, inverses, self.form)
                             for rel in self.presentation.relators]
         return self._powers
 

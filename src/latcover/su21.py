@@ -10,7 +10,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .exactnum import CycloElt, embed_complex, parse_cyclo, to_literal, zeta_power
+from .exactnum import (CycloElt, dot, embed_complex, parse_cyclo, to_literal,
+                       zeta_power)
 
 DEFAULT_EMBED_BITS = 96
 UNITARY_TOL = 1e-8
@@ -34,10 +35,8 @@ def _as_exact_matrix(entries) -> ExactMatrix:
 
 
 def _exact_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return tuple(
-        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-              for j in range(3))
-        for i in range(3))
+    cols = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def _exact_conj_transpose(a: ExactMatrix) -> ExactMatrix:

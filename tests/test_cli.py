@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import re
 from pathlib import Path
 
@@ -160,6 +161,58 @@ def test_winding_deterministic_bytes(capsys):
     _, second, _ = run(capsys, "winding", "--preset", PRESET2,
                        "--word", "b*u*v*b*u*v*b*u*v")
     assert first == second
+
+
+def _seeded_open_word(seed: int, letters: int) -> str:
+    rng = random.Random(seed)
+    word = []
+    while len(word) < letters:
+        letter = (rng.choice("buv"), rng.choice((1, -1)))
+        if not word or word[-1] != (letter[0], -letter[1]):
+            word.append(letter)
+    return "*".join(g if e == 1 else f"{g}^-1" for g, e in word)
+
+
+@pytest.mark.parametrize("preset, word, open_path, samples", [
+    (PRESET1, "b^9", False, 256),
+    (PRESET2, _seeded_open_word(6, 64), True, 256),
+    (PRESET1, "u^-1", True, 1500),
+], ids=["b9", "open-64-letters", "samples-1500"])
+def test_sample_table_bytes_match_per_element_formatting(
+        capsys, tmp_path, preset, word, open_path, samples):
+    # the reference formats each numpy scalar of relator_path's output, as
+    # the sample table and the SVG trace were once written
+    from latcover.cli import _SAMPLE_SLICE
+    from latcover.pathlift import generator_logs, relator_path, winding_number
+    from latcover.presets import dm_lattice
+    lattice = dm_lattice(preset)
+    path = relator_path(lattice.presentation.word(word),
+                        generator_logs(lattice.numerics()), samples)
+    assert len(path.s) > _SAMPLE_SLICE and len(path.s) % _SAMPLE_SLICE
+    if open_path:
+        end = path.endpoint
+        head = f"endpoint: {end.real:.9f} {end.imag:+.9f}i\n"
+    else:
+        head = f"winding: {winding_number(path)}\n"
+    expected = head + "s,re,im\n" + "".join(
+        f"{s:.9f},{v.real:.9f},{v.imag:.9f}\n"
+        for s, v in zip(path.s, path.values))
+    xs = [float(v.real) for v in path.values]
+    ys = [float(v.imag) for v in path.values]
+    lo, hi = min(min(xs), min(ys)), max(max(xs), max(ys))
+    span = max(hi - lo, 1e-9)
+    pad = 0.1 * span
+    lo, span = lo - pad, span + 2 * pad
+    points = " ".join(f"{(x - lo) / span * 600.0:.2f},"
+                      f"{600.0 - (y - lo) / span * 600.0:.2f}"
+                      for x, y in zip(xs, ys))
+    svg = tmp_path / "trace.svg"
+    rc, out, _ = run(capsys, "winding", "--preset", preset, "--word", word,
+                     "--samples", str(samples), "--svg", str(svg),
+                     *(["--open-path"] if open_path else []))
+    assert rc == 0
+    assert out == expected
+    assert f'<polyline points="{points}" ' in svg.read_text()
 
 
 def test_verify_both_presets(capsys):

@@ -10,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 from latcover.exactnum import (
     CycloElt,
     cyclotomic_polynomial,
+    dot,
     embed_complex,
     parse_cyclo,
     to_literal,
     zeta,
 )
+
+from latcover.su21 import _exact_matmul
 
 from helpers_latcover import (euler_phi, ref_add, ref_conjugate, ref_inv,
                               ref_mul, ref_promote, ref_reduce)
@@ -270,3 +273,46 @@ def test_integer_kernel_matches_fraction_reference(pa, pb):
     assert (a == a * Fraction(1, 2)) == a.is_zero
     assert a == CycloElt(k, ua) and a.promote(k) == a
     assert (a - a).den == 1 and (a - a) == 0
+
+
+@st.composite
+def dot_entries(draw):
+    """Zero one time in four, else up to phi(n) coefficients with
+    denominators up to 7, at a conductor among 1, 3, 12, 18, 36."""
+    n = draw(st.sampled_from([1, 3, 12, 18, 36]))
+    if draw(st.integers(0, 3)) == 0:
+        return CycloElt.zero(n)
+    rat = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    return CycloElt(n, draw(st.lists(rat, min_size=1, max_size=euler_phi(n))))
+
+
+def _naive_dot(xs, ys):
+    total = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        total = total + x * y
+    return total
+
+
+def _same(got, want):
+    assert (got.n, got.num, got.den) == (want.n, want.num, want.den)
+    assert_canonical(got)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(dot_entries(), dot_entries()), min_size=1,
+                max_size=4))
+def test_dot_matches_naive_sum_of_products(pairs):
+    xs, ys = zip(*pairs)
+    _same(dot(xs, ys), _naive_dot(xs, ys))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(dot_entries(), min_size=18, max_size=18))
+def test_fused_matmul_matches_naive_products(entries):
+    a = tuple(tuple(entries[3 * i:3 * i + 3]) for i in range(3))
+    b = tuple(tuple(entries[9 + 3 * i:12 + 3 * i]) for i in range(3))
+    product = _exact_matmul(a, b)
+    for i in range(3):
+        for j in range(3):
+            _same(product[i][j],
+                  _naive_dot(a[i], [b[k][j] for k in range(3)]))

@@ -8,7 +8,7 @@ from latcover.exactnum import CycloElt
 from latcover.fpgroups import Word
 from latcover.presets import (EXPECTED_POWERS, central_power, dm_lattice,
                               preset_ids, verify_preset)
-from latcover.su21 import check_unitary, unitarity_residual
+from latcover.su21 import GroupMatrix, check_unitary, unitarity_residual
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +70,29 @@ def test_second_preset_standard_numerics(second):
 
 def test_central_power_of_generator_powers(first):
     gens = [first.matrices[g] for g in first.presentation.gens]
+    inverses = [g.inv() for g in gens]
     b = Word.gen(0)
-    assert central_power(b ** 3, gens, first.form) == 2
-    assert central_power(b ** 6, gens, first.form) == 1
-    assert central_power(b ** -9, gens, first.form) == 0
-    assert central_power(b, gens, first.form) is None
+    assert central_power(b ** 3, gens, inverses, first.form) == 2
+    assert central_power(b ** 6, gens, inverses, first.form) == 1
+    assert central_power(b ** -9, gens, inverses, first.form) == 0
+    assert central_power(b, gens, inverses, first.form) is None
+
+
+@pytest.mark.parametrize("preset_id", ["dm-5-4-1-1-1-6", "dm-11-7-2-2-2-12"])
+def test_central_powers_invert_each_generator_at_most_once(monkeypatch,
+                                                           preset_id):
+    inverted = []
+    original = GroupMatrix.inv
+
+    def counting(self):
+        inverted.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GroupMatrix, "inv", counting)
+    preset = dm_lattice(preset_id)  # verify_preset runs central_powers()
+    assert preset.central_powers() == list(EXPECTED_POWERS)
+    gens = [preset.matrices[g] for g in preset.presentation.gens]
+    assert sorted(map(id, inverted)) == sorted(map(id, gens))
 
 
 def test_verify_powers_first(first):

@@ -163,7 +163,9 @@ def test_numeric_view_is_embedded_once_on_read(monkeypatch):
     monkeypatch.setattr(su21, "_numeric_from_exact", counting)
     gens = [scale_to_su(g) for g in (b0, u0, v0)]
     pres = picard_presentation()
-    powers = [central_power(rel, gens, form) for rel in pres.relators]
+    inverses = [g.inv() for g in gens]
+    powers = [central_power(rel, gens, inverses, form)
+              for rel in pres.relators]
     assert powers == [2, 2, 2, 0, 0, 0, 0]
     lattice = Lattice(pres, form, {"b": b0, "u": u0, "v": v0})
     assert lattice.central_powers() == powers
