@@ -206,7 +206,7 @@ def cmd_cosets(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
                          max_cosets=args.max_cosets)
     lines = [f"index: {table.index}", "valid: yes"]
     if words:
-        lines.append(f"normal: {'yes' if table.fixes_all_cosets(words) else 'no'}")
+        lines.append(f"normal: {'yes' if table.is_normal(words) else 'no'}")
     return "\n".join(lines) + "\n", EXIT_OK
 
 

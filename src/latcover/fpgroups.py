@@ -242,10 +242,10 @@ class CosetTable:
                 and all(self.trace(0, w) == 0 for w in subgroup_gens))
 
     def fixes_all_cosets(self, words: Sequence[Word]) -> bool:
-        """True iff each word fixes every coset; for subgroup generators this
-        is exactly normality of the subgroup they generate.  Each word is
-        expanded once and walked from all cosets together, one column at a
-        time."""
+        """True iff each word fixes every coset, that is, lies in every
+        conjugate of the subgroup (`validates` asks this of the relators).
+        Each word is expanded once and walked from all cosets together, one
+        column at a time."""
         start = list(range(self.index))
         columns = list(zip(*self.table))
         for w in words:
@@ -256,6 +256,15 @@ class CosetTable:
             if image != start:
                 return False
         return True
+
+    def is_normal(self, words: Sequence[Word]) -> bool:
+        """True iff H = <words>, the subgroup whose cosets the table
+        enumerates, is normal.  A word w fixes the coset Hg = table[0][2g]
+        iff gwg^-1 lies in H, so this reads gHg^-1 <= H for each generator
+        g, which at finite index is equality: ngens walks of each word, not
+        index walks."""
+        starts = {self.table[0][2 * g] for g in range(self.ngens)}
+        return all(self.trace(c, w) == c for w in words for c in starts)
 
 
 def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Word] = (),
@@ -268,12 +277,14 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Word] = (),
                    sum(len(w) for w in (*pres.relators, *subgroup_gens)))
     d = pres.ngens
     ncols = 2 * d
-    relator_paths = [rel.columns() for rel in pres.relators]
-    subgroup_paths = [w.columns() for w in subgroup_gens]
+    # each path: its columns forward, and inverted (bit 0 flipped) for the
+    # backward scan
+    relator_paths, subgroup_paths = (
+        [(p, [x ^ 1 for x in p]) for p in map(Word.columns, words)]
+        for words in (pres.relators, subgroup_gens))
 
     table: List[List[Optional[int]]] = [[None] * ncols]
     parent = [0]
-    dead_count = 0
 
     def rep(k: int) -> int:
         root = k
@@ -283,33 +294,28 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Word] = (),
             parent[k], k = root, parent[k]
         return root
 
-    def inv_col(x: int) -> int:
-        return x ^ 1
-
     def define(alpha: int, x: int) -> int:
-        if len(table) >= max_cosets:
+        beta = len(table)
+        if beta >= max_cosets:
             raise EnumerationLimit(
                 f"coset limit {max_cosets} exceeded during enumeration")
-        beta = len(table)
-        table.append([None] * ncols)
+        row = [None] * ncols
+        row[x ^ 1] = alpha
+        table.append(row)
         parent.append(beta)
         table[alpha][x] = beta
-        table[beta][inv_col(x)] = alpha
         return beta
 
     def coincidence(a: int, b: int) -> None:
-        nonlocal dead_count
         queue = deque()
 
         def merge(k: int, l: int) -> None:
-            nonlocal dead_count
             k, l = rep(k), rep(l)
             if k == l:
                 return
             if k > l:
                 k, l = l, k
             parent[l] = k
-            dead_count += 1
             queue.append(l)
 
         merge(a, b)
@@ -320,70 +326,71 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Word] = (),
                 delta = row[x]
                 if delta is None:
                     continue
-                table[delta][inv_col(x)] = None
+                table[delta][x ^ 1] = None
                 mu, nu = rep(gamma), rep(delta)
                 if table[mu][x] is not None:
                     merge(nu, table[mu][x])
-                elif table[nu][inv_col(x)] is not None:
-                    merge(mu, table[nu][inv_col(x)])
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1])
                 else:
                     table[mu][x] = nu
-                    table[nu][inv_col(x)] = mu
+                    table[nu][x ^ 1] = mu
 
-    def scan_and_fill(alpha: int, path: List[int]) -> None:
-        if not path:
-            return
-        f, b = alpha, alpha
-        i, j = 0, len(path) - 1
+    def scan_and_fill(alpha: int, fwd: List[int], bwd: List[int]) -> None:
+        f = b = alpha
+        i, j = 0, len(fwd) - 1
         while True:
-            while i <= j and table[f][path[i]] is not None:
-                f = table[f][path[i]]
+            while i <= j and (nxt := table[f][fwd[i]]) is not None:
+                f = nxt
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][inv_col(path[j])] is not None:
-                b = table[b][inv_col(path[j])]
+            while j >= i and (nxt := table[b][bwd[j]]) is not None:
+                b = nxt
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
             if i == j:
-                table[f][path[i]] = b
-                table[b][inv_col(path[i])] = f
+                table[f][fwd[i]] = b
+                table[b][bwd[i]] = f
                 return
-            f = define(f, path[i])
+            f = define(f, fwd[i])
             i += 1
 
-    for path in subgroup_paths:
-        scan_and_fill(0, path)
+    for fwd, bwd in subgroup_paths:
+        scan_and_fill(0, fwd, bwd)
 
+    # a coset is live while it is its own parent
     alpha = 0
     while alpha < len(table):
-        if rep(alpha) != alpha:
-            alpha += 1
-            continue
-        for path in relator_paths:
-            scan_and_fill(alpha, path)
-            if rep(alpha) != alpha:
-                break
-        if rep(alpha) == alpha:
-            for x in range(ncols):
-                if table[alpha][x] is None:
-                    define(alpha, x)
+        if parent[alpha] == alpha:
+            for fwd, bwd in relator_paths:
+                scan_and_fill(alpha, fwd, bwd)
+                if parent[alpha] != alpha:
+                    break
+            else:
+                row = table[alpha]
+                for x in range(ncols):
+                    if row[x] is None:
+                        define(alpha, x)
         alpha += 1
 
-    # standardize: relabel the live cosets in breadth-first scan order
+    # standardize: relabel the live cosets in breadth-first scan order,
+    # pointing each entry at its live representative first
     order = [0]
     relabel = {0: 0}
     for c in order:
-        for x in range(ncols):
-            nxt = rep(table[c][x])
+        row = table[c]
+        for x, nxt in enumerate(row):
+            if parent[nxt] != nxt:
+                row[x] = nxt = rep(nxt)
             if nxt not in relabel:
                 relabel[nxt] = len(order)
                 order.append(nxt)
-    final = [[relabel[rep(table[c][x])] for x in range(ncols)] for c in order]
+    final = [[relabel[nxt] for nxt in table[c]] for c in order]
 
     result = CosetTable(d, final)
     if not result.validates(pres, subgroup_gens):

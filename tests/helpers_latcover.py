@@ -1,12 +1,14 @@
 """Shared builders for the worked lattice data used across test modules."""
 
+from collections import deque
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from latcover.exactnum import (CycloElt, cyclotomic_polynomial, to_literal,
                                zeta)
-from latcover.fpgroups import Presentation, Word, braid_relator
+from latcover.fpgroups import (CosetTable, EnumerationLimit, Presentation,
+                               Word, _check_letters, braid_relator)
 from latcover.intlinalg import hnf, quotient_invariants, saturation_order
 from latcover.nq2 import ClassTwoElement, _unit_wedge, wedge_size
 from latcover.pathlift import LiftedPresentation, lift_presentation
@@ -459,3 +461,140 @@ def reference_tietze_reduce(pres: Presentation,
     index_map = {g: i for i, g in enumerate(kept)}
     return Presentation([pres.gens[g] for g in kept],
                         [r.remap(index_map) for r in relators])
+
+
+def reference_todd_coxeter(pres: Presentation,
+                           subgroup_gens: Sequence[Word] = (),
+                           max_cosets: int = 10 ** 6) -> CosetTable:
+    """The reference for `fpgroups.todd_coxeter`: the same HLT definitions
+    and coincidences in the same order, with each path's backward columns
+    inverted letter by letter, a `rep` call after every relator scan and on
+    every entry during standardization.
+
+    Returns the standardized complete table or raises EnumerationLimit.
+    """
+    _check_letters("relators and subgroup words",
+                   sum(len(w) for w in (*pres.relators, *subgroup_gens)))
+    d = pres.ngens
+    ncols = 2 * d
+    relator_paths = [rel.columns() for rel in pres.relators]
+    subgroup_paths = [w.columns() for w in subgroup_gens]
+
+    table: List[List[Optional[int]]] = [[None] * ncols]
+    parent = [0]
+    dead_count = 0
+
+    def rep(k: int) -> int:
+        root = k
+        while parent[root] != root:
+            root = parent[root]
+        while parent[k] != root:
+            parent[k], k = root, parent[k]
+        return root
+
+    def inv_col(x: int) -> int:
+        return x ^ 1
+
+    def define(alpha: int, x: int) -> int:
+        if len(table) >= max_cosets:
+            raise EnumerationLimit(
+                f"coset limit {max_cosets} exceeded during enumeration")
+        beta = len(table)
+        table.append([None] * ncols)
+        parent.append(beta)
+        table[alpha][x] = beta
+        table[beta][inv_col(x)] = alpha
+        return beta
+
+    def coincidence(a: int, b: int) -> None:
+        nonlocal dead_count
+        queue = deque()
+
+        def merge(k: int, l: int) -> None:
+            nonlocal dead_count
+            k, l = rep(k), rep(l)
+            if k == l:
+                return
+            if k > l:
+                k, l = l, k
+            parent[l] = k
+            dead_count += 1
+            queue.append(l)
+
+        merge(a, b)
+        while queue:
+            gamma = queue.popleft()
+            row = table[gamma]
+            for x in range(ncols):
+                delta = row[x]
+                if delta is None:
+                    continue
+                table[delta][inv_col(x)] = None
+                mu, nu = rep(gamma), rep(delta)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x])
+                elif table[nu][inv_col(x)] is not None:
+                    merge(mu, table[nu][inv_col(x)])
+                else:
+                    table[mu][x] = nu
+                    table[nu][inv_col(x)] = mu
+
+    def scan_and_fill(alpha: int, path: List[int]) -> None:
+        if not path:
+            return
+        f, b = alpha, alpha
+        i, j = 0, len(path) - 1
+        while True:
+            while i <= j and table[f][path[i]] is not None:
+                f = table[f][path[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][inv_col(path[j])] is not None:
+                b = table[b][inv_col(path[j])]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:
+                table[f][path[i]] = b
+                table[b][inv_col(path[i])] = f
+                return
+            f = define(f, path[i])
+            i += 1
+
+    for path in subgroup_paths:
+        scan_and_fill(0, path)
+
+    alpha = 0
+    while alpha < len(table):
+        if rep(alpha) != alpha:
+            alpha += 1
+            continue
+        for path in relator_paths:
+            scan_and_fill(alpha, path)
+            if rep(alpha) != alpha:
+                break
+        if rep(alpha) == alpha:
+            for x in range(ncols):
+                if table[alpha][x] is None:
+                    define(alpha, x)
+        alpha += 1
+
+    # standardize: relabel the live cosets in breadth-first scan order
+    order = [0]
+    relabel = {0: 0}
+    for c in order:
+        for x in range(ncols):
+            nxt = rep(table[c][x])
+            if nxt not in relabel:
+                relabel[nxt] = len(order)
+                order.append(nxt)
+    final = [[relabel[rep(table[c][x])] for x in range(ncols)] for c in order]
+
+    result = CosetTable(d, final)
+    if not result.validates(pres, subgroup_gens):
+        raise AssertionError("enumeration produced an invalid table")
+    return result

@@ -259,6 +259,35 @@ def test_cosets_validates_the_table_once(capsys, monkeypatch):
     assert calls == [72]
 
 
+def test_cosets_reports_a_subgroup_that_is_not_normal(capsys, tmp_path):
+    pres = tmp_path / "a4.txt"
+    pres.write_text("generators: a b\na^2\nb^3\na*b*a*b*a*b\n")
+    words = tmp_path / "b.words"
+    words.write_text("b\n")
+    rc, out, _ = run(capsys, "cosets", "--pres", str(pres),
+                     "--subgroup", str(words))
+    assert (rc, out) == (0, "index: 4\nvalid: yes\nnormal: no\n")
+
+
+def test_cosets_walks_every_coset_only_for_the_relators(capsys, monkeypatch):
+    # normality reads the cosets next to coset 0; only validates' relator
+    # check walks the words from every coset
+    import sys
+    from latcover.fpgroups import CosetTable
+    callers = []
+    original = CosetTable.fixes_all_cosets
+
+    def counting(self, words):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(self, words)
+
+    monkeypatch.setattr(CosetTable, "fixes_all_cosets", counting)
+    rc, out, _ = run(capsys, "cosets", "--preset", PRESET1,
+                     "--subgroup", "hirzebruch")
+    assert (rc, out) == (0, "index: 72\nvalid: yes\nnormal: yes\n")
+    assert callers == ["validates"]
+
+
 def test_cosets_invalid_table_exits_3(capsys, monkeypatch):
     from latcover.fpgroups import CosetTable
     monkeypatch.setattr(CosetTable, "validates", lambda self, *args: False)

@@ -23,7 +23,7 @@ from latcover.nq2 import (class2_quotient, subgroup_abelianization,
                           subgroup_class2)
 from latcover.pathlift import LiftedPresentation
 
-from helpers_latcover import reference_tietze_reduce
+from helpers_latcover import reference_tietze_reduce, reference_todd_coxeter
 
 
 def w(text, gens):
@@ -185,9 +185,63 @@ def test_normality_detection():
     table = todd_coxeter(pres, klein)
     assert table.index == 3
     assert table.fixes_all_cosets(klein)
+    assert table.is_normal(klein)
     table_b = todd_coxeter(pres, [b])
     assert table_b.index == 4
     assert not table_b.fixes_all_cosets([b])
+    assert not table_b.is_normal([b])
+
+
+def _finite_group(name):
+    a, b = Word.gen(0), Word.gen(1)
+    dihedral = {f"D{n}": [a ** n, b ** 2, (a * b) ** 2] for n in (3, 4, 6)}
+    relators = {
+        **dihedral,
+        "A4": [a ** 2, b ** 3, (a * b) ** 3],
+        "S4": [a ** 2, b ** 3, (a * b) ** 4],
+        # order 168: PSL(2, 7)
+        "L2(7)": [a ** 2, b ** 3, (a * b) ** 7,
+                  (a * b * a.inv() * b.inv()) ** 4],
+    }[name]
+    return Presentation(["a", "b"], relators)
+
+
+FINITE_GROUPS = ["D3", "D4", "D6", "A4", "S4", "L2(7)"]
+
+
+def test_is_normal_matches_the_all_coset_walk():
+    # H = <words> is normal iff every word fixes every coset; is_normal
+    # reads only the cosets next to coset 0
+    answers = set()
+
+    @given(st.sampled_from(FINITE_GROUPS),
+           st.lists(st.lists(st.tuples(st.integers(0, 1),
+                                       st.sampled_from([-2, -1, 1, 2, 3])),
+                             max_size=6),
+                    max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def check(name, raw_words):
+        pres = _finite_group(name)
+        words = [Word(raw) for raw in raw_words]
+        table = todd_coxeter(pres, words)
+        answer = table.fixes_all_cosets(words)
+        assert table.is_normal(words) == answer
+        answers.add(answer)
+
+    check()
+    assert answers == {True, False}
+
+
+def test_is_normal_identity_word_and_index_one():
+    for name in FINITE_GROUPS:
+        pres = _finite_group(name)
+        trivial = todd_coxeter(pres, [Word()])
+        assert trivial.index > 1
+        assert trivial.is_normal([Word()]) and trivial.is_normal([])
+        whole = [Word.gen(0), Word.gen(1)]
+        table = todd_coxeter(pres, whole)
+        assert table.index == 1
+        assert table.is_normal(whole) and table.fixes_all_cosets(whole)
 
 
 # ---------------------------------------------------------------- Schreier
@@ -564,6 +618,44 @@ def test_tietze_moves_match_reference(steps, pres):
             mp.setattr(fpgroups, "TIETZE_STEPS", steps)
         assert (tietze_reduce(pres)
                 == reference_tietze_reduce(pres, fpgroups.TIETZE_STEPS))
+
+
+@st.composite
+def enumeration_case(draw):
+    pres = draw(st.one_of(
+        random_presentation(max_gens=3, max_relators=5, max_syllables=6),
+        st.sampled_from(FINITE_GROUPS).map(_finite_group)))
+    words = [Word(syl) for syl in draw(st.lists(st.lists(
+        st.tuples(st.integers(0, pres.ngens - 1),
+                  st.sampled_from([-2, -1, 1, 2])), max_size=4), max_size=3))]
+    # a small limit, or one that only infinite enumerations reach
+    limit = draw(st.one_of(st.integers(min_value=1, max_value=60),
+                           st.just(2000)))
+    return pres, words, limit
+
+
+def test_todd_coxeter_matches_reference():
+    # the paired forward/backward columns, liveness read from the
+    # union-find parent and the sparse rep calls must keep every definition
+    # and coincidence of the reference engine, so the tables and the
+    # limit's hits agree
+    outcomes = set()
+
+    @given(enumeration_case())
+    @settings(max_examples=400, deadline=None)
+    def check(case):
+        pres, words, limit = case
+        results = []
+        for engine in (todd_coxeter, reference_todd_coxeter):
+            try:
+                results.append(engine(pres, words, max_cosets=limit).table)
+            except EnumerationLimit as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        outcomes.add(isinstance(results[0], str))
+
+    check()
+    assert outcomes == {True, False}
 
 
 def _central_abelianization(pres, exps):
