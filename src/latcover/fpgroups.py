@@ -3,6 +3,8 @@ enumeration, Reidemeister-Schreier subgroup presentations, Tietze reduction."""
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -36,16 +38,17 @@ class Word:
 
     def __init__(self, syllables: Iterable[Tuple[int, int]] = ()):
         reduced: List[Tuple[int, int]] = []
+        last = None  # generator of reduced[-1]
         for gen, exp in syllables:
-            if exp == 0:
-                continue
-            if reduced and reduced[-1][0] == gen:
-                total = reduced[-1][1] + exp
-                reduced.pop()
-                if total:
-                    reduced.append((gen, total))
-            else:
+            if gen == last:
+                exp += reduced.pop()[1]
+                if exp:
+                    reduced.append((gen, exp))
+                else:
+                    last = reduced[-1][0] if reduced else None
+            elif exp:
                 reduced.append((gen, exp))
+                last = gen
         self.syllables = tuple(reduced)
 
     @staticmethod
@@ -103,7 +106,7 @@ class Word:
             syl = syl[1:-1]
             if total:
                 return Word(((g, total),) + syl)
-        return Word(syl)
+        return self if syl is self.syllables else Word(syl)
 
     def remap(self, index_map: Dict[int, int]) -> "Word":
         return Word((index_map[g], e) for g, e in self.syllables)
@@ -482,21 +485,56 @@ def schreier_system(table: CosetTable, pres: Presentation) -> SchreierSystem:
 class _Relator:
     """A relator as Tietze keeps it, built once per version: the cyclically
     reduced word, a key shared with its inverse, generator counts, letter
-    length, least generator occurring once (or None), columns as text."""
+    length, least generator occurring once (or None), a serial that tells
+    this version from the stale heap entries of earlier ones, and the
+    columns as text, twice over, built on first read."""
 
-    __slots__ = ("word", "key", "counts", "length", "once", "text")
+    __slots__ = ("word", "key", "counts", "length", "once", "serial",
+                 "_cyclic")
 
-    def __init__(self, word: Word):
+    def __init__(self, word: Word, serial: int):
         self.word = word = word.cyclically_reduced()
         syl = word.syllables
-        self.key = min(syl, tuple((g, -e) for g, e in reversed(syl)))
-        self.counts: Dict[int, int] = {}
+        inv = tuple([(g, -e) for g, e in reversed(syl)])
+        self.key = syl if syl <= inv else inv
+        self.counts = counts = {}
+        length = 0
         for g, e in syl:
-            self.counts[g] = self.counts.get(g, 0) + abs(e)
-        self.length = sum(self.counts.values())
-        self.once = min((g for g, c in self.counts.items() if c == 1),
-                        default=None)
-        self.text = "".join([chr(32 + x) for x in word.columns()])
+            if e < 0:
+                e = -e
+            length += e
+            counts[g] = counts.get(g, 0) + e
+        self.length = length
+        once = None
+        for g, c in counts.items():
+            if c == 1 and (once is None or g < once):
+                once = g
+        self.once = once
+        self.serial = serial
+        self._cyclic: Optional[str] = None
+
+    @property
+    def cyclic(self) -> str:
+        """The columns as text, doubled: each rotation is a window of it."""
+        if self._cyclic is None:
+            text = "".join([chr(32 + x) for x in self.word.columns()])
+            self._cyclic = text * 2
+        return self._cyclic
+
+
+def _inverse_text(text: str) -> str:
+    """Columns as text of the inverse word: reversed, with columns 2g and
+    2g+1 (bit 0) swapped."""
+    return "".join([chr(ord(c) ^ 1) for c in reversed(text)])
+
+
+def _text_word(text: str) -> Word:
+    """The word whose columns, as text, are the given text."""
+    syllables = []
+    for c, run in itertools.groupby(text):
+        x, k = ord(c) - 32, len(list(run))
+        syllables.append((x >> 1, -k if x & 1 else k))
+    return Word(syllables)
 
 
 def tietze_reduce(pres: Presentation) -> Presentation:
@@ -506,85 +544,124 @@ def tietze_reduce(pres: Presentation) -> Presentation:
     given relators or those a substitution writes hold more than
     MAX_WORD_LETTERS letters.
 
-    Relators keep the original generator ids while moves run, and the
-    survivors are renumbered once at the end; a move rebuilds the records
-    of the relators it changes and no others.
+    Relators sit in slots that keep their positions while moves run (a
+    dropped relator leaves None), so every tie-break by position reads as
+    on the compacted list. Each generator indexes the slots whose relator
+    contains it, a lazy heap of (length, once, slot, serial) picks the next
+    elimination, and after a move only the changed slots are swept for
+    identities and repeats, keeping the lowest slot of each key. The
+    survivors keep the original generator ids and are renumbered once at
+    the end.
     """
     _check_letters("Tietze relators", sum(len(r) for r in pres.relators))
     alive = set(range(pres.ngens))
-    rels = [_Relator(r) for r in pres.relators]
+    serials = itertools.count()
+    rels: List[Optional[_Relator]] = [None] * len(pres.relators)
+    occ: List[set] = [set() for _ in range(pres.ngens)]
+    keys: Dict[tuple, int] = {}
+    heap: List[Tuple[int, int, int, int]] = []
+    total = 0  # letters of the relators in the slots
     steps = 0
 
-    def sweep() -> None:
-        # drop identities and repeats, keeping first occurrences
-        nonlocal rels
-        kept: Dict[tuple, _Relator] = {}
-        for r in rels:
-            if r.length:
-                kept.setdefault(r.key, r)
-        rels = list(kept.values())
+    def unlink(slot: int) -> None:
+        nonlocal total
+        old = rels[slot]
+        total -= old.length
+        for g in old.counts:
+            occ[g].discard(slot)
+        if keys.get(old.key) == slot:
+            del keys[old.key]
+        rels[slot] = None
+
+    def put(slot: int, word: Word) -> None:
+        nonlocal total
+        if rels[slot] is not None:
+            unlink(slot)
+        r = rels[slot] = _Relator(word, next(serials))
+        total += r.length
+        for g in r.counts:
+            occ[g].add(slot)
+        if r.once is not None:
+            heapq.heappush(heap, (r.length, r.once, slot, r.serial))
+
+    def settle(changed: Iterable[int]) -> None:
+        # drop identities and repeats among the changed slots, keeping the
+        # lowest slot of each key
+        for slot in sorted(changed):
+            r = rels[slot]
+            held = keys.get(r.key)
+            if not r.length or (held is not None and held < slot):
+                unlink(slot)
+                continue
+            if held is not None:
+                unlink(held)
+            keys[r.key] = slot
 
     def try_eliminate() -> bool:
         nonlocal steps
-        best = min(((r.length, r.once, ri) for ri, r in enumerate(rels)
-                    if r.once is not None), default=None)
-        if best is None:
+        while heap:
+            _, gen, slot, serial = heapq.heappop(heap)
+            r = rels[slot]
+            if r is not None and r.serial == serial:
+                break
+        else:
             return False
-        _, gen, ri = best
-        syl = rels.pop(ri).word.syllables
+        syl = r.word.syllables
+        unlink(slot)
         # rotate the single occurrence gen^(+-1) to the front:
         # gen^(+-1) * tail = 1  =>  gen = tail^-1, or tail
         pos = next(i for i, (g, _) in enumerate(syl) if g == gen)
         tail = Word(syl[pos + 1:] + syl[:pos])
         repl = tail.inv() if syl[pos][1] == 1 else tail
-        inv_repl = repl.inv()
+        fwd, back = repl.syllables, repl.inv().syllables
+        touched = sorted(occ[gen])
         # each letter gen^(+-1) becomes len(repl) letters
-        grow = len(repl) - 1
-        _check_letters("Tietze relators", sum(
-            r.length + r.counts.get(gen, 0) * grow for r in rels))
-        for i, r in enumerate(rels):
-            if gen in r.counts:
-                out: List[Tuple[int, int]] = []
-                for g, e in r.word.syllables:
-                    if g != gen:
-                        out.append((g, e))
-                    else:
-                        out.extend((repl if e > 0 else inv_repl).syllables
-                                   * abs(e))
-                rels[i] = _Relator(Word(out))
+        _check_letters("Tietze relators", total + (len(repl) - 1) * sum(
+            rels[i].counts[gen] for i in touched))
+        for i in touched:
+            out: List[Tuple[int, int]] = []
+            for g, e in rels[i].word.syllables:
+                if g != gen:
+                    out.append((g, e))
+                else:
+                    out.extend(fwd * e if e > 0 else back * -e)
+            put(i, Word(out))
         alive.discard(gen)
         steps += 1
+        settle(touched)
         return True
 
     def shorten_pass() -> bool:
-        """One sweep replacing long chunks of relators using shorter relators."""
+        """One sweep replacing long chunks of relators using shorter
+        relators; the changed slots are settled once, when it ends."""
         nonlocal steps
-        before = steps
-        order = sorted(range(len(rels)), key=lambda i: rels[i].length)
-        for si in order:
+        changed = set()
+        live = [i for i, r in enumerate(rels) if r is not None]
+        for si in sorted(live, key=lambda i: rels[i].length):
             short = rels[si]
             ls = short.length
-            if ls < 2 or ls > 40:
+            if ls < 2 or ls > 40 or steps >= TIETZE_STEPS:
                 continue
             # each rotation of short or of its inverse is a window of the
-            # doubled letters, matched as a window of the doubled text; the
-            # inverse reverses the text and swaps columns 2g, 2g+1 (bit 0)
-            inv_text = "".join([chr(ord(c) ^ 1) for c in reversed(short.text)])
-            doubles = [(short.word.letters() * 2, short.text * 2),
-                       (short.word.inv().letters() * 2, inv_text * 2)]
+            # doubled text
             need = ls // 2 + 1
-            for li, long in enumerate(rels):
+            texts = [short.cyclic, _inverse_text(short.cyclic)]
+            windows = [[t[start:start + need] for start in range(ls)]
+                       for t in texts]
+            for li in live:
                 if steps >= TIETZE_STEPS:
-                    return steps > before
+                    break
+                long = rels[li]
                 n = long.length
                 if li == si or n < need:
                     continue
-                cyclic = long.text * 2
+                cyclic = long.cyclic
+                top = min(ls, n)
                 match = None
-                for dbl, dbl_text in doubles:
-                    top = min(ls, n)
-                    for start in range(ls):
-                        pos = cyclic.find(dbl_text[start:start + need])
+                for side in (0, 1):
+                    dbl_text = texts[side]
+                    for start, window in enumerate(windows[side]):
+                        pos = cyclic.find(window)
                         if pos < 0 or pos >= n:
                             continue
                         run = need
@@ -592,26 +669,30 @@ def tietze_reduce(pres: Presentation) -> Presentation:
                                and cyclic[pos + run] == dbl_text[start + run]):
                             run += 1
                         if match is None or run > match[0]:
-                            match = (run, dbl, start, pos)
+                            match = (run, side, start, pos)
                     if match:
                         break
                 if match is None:
                     continue
-                run, dbl, start, lstart = match
+                run, side, start, lstart = match
                 # the matched chunk equals a rotation prefix of the short
                 # relator, so it also equals the inverse of that rotation's
                 # suffix; swap it in, which is shorter as run > ls / 2
-                suffix = Word(dbl[start + run:start + ls])
-                rest = Word((long.word.letters() * 2)[lstart + run:lstart + n])
-                rels[li] = _Relator(suffix.inv() * rest)
+                suffix = texts[side][start + run:start + ls]
+                put(li, _text_word(_inverse_text(suffix)
+                                   + cyclic[lstart + run:lstart + n]))
+                changed.add(li)
                 steps += 1
-        return steps > before
+        settle(changed)
+        return bool(changed)
 
-    sweep()
+    for slot, rel in enumerate(pres.relators):
+        put(slot, rel)
+    settle(range(len(rels)))
     while steps < TIETZE_STEPS and (try_eliminate() or shorten_pass()):
-        sweep()
+        pass
 
     kept = sorted(alive)
     index_map = {g: i for i, g in enumerate(kept)}
-    return Presentation([pres.gens[g] for g in kept],
-                        [r.word.remap(index_map) for r in rels])
+    survivors = [r.word.remap(index_map) for r in rels if r is not None]
+    return Presentation([pres.gens[g] for g in kept], survivors)

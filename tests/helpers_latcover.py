@@ -1,8 +1,10 @@
 """Shared builders for the worked lattice data used across test modules."""
 
+import importlib.util
 from collections import deque
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from latcover.exactnum import (CycloElt, cyclotomic_polynomial, to_literal,
@@ -14,6 +16,17 @@ from latcover.nq2 import ClassTwoElement, _unit_wedge, wedge_size
 from latcover.pathlift import LiftedPresentation, lift_presentation
 from latcover.presets import Lattice
 from latcover.su21 import GroupMatrix, HermitianForm, scale_to_su
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name: str, path: Path):
+    """Import a script outside the package (perfbench/, tools/) by path."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def euler_phi(n):
@@ -323,11 +336,14 @@ def reference_tietze_reduce(pres: Presentation,
                             budget: int = 20000) -> Presentation:
     """The reference for `fpgroups.tietze_reduce`'s moves: the same
     eliminations and substitutions in the same order, with a step budget,
-    rebuilding and re-reducing every relator after every move.
+    rebuilding and re-reducing every relator after every move, and the same
+    letter bound, summed over the whole relator list on entry and before
+    each substitution.
 
     Relators keep the original generator ids while moves run; the survivors
     are renumbered once, in order, at the end.
     """
+    _check_letters("Tietze relators", sum(len(r) for r in pres.relators))
     alive = set(range(pres.ngens))
     relators = [r.cyclically_reduced() for r in pres.relators]
     steps = 0
@@ -384,6 +400,10 @@ def reference_tietze_reduce(pres: Presentation,
         tail = Word(rotated.syllables[1:])
         # gen^(+-1) * tail = 1  =>  gen = tail^-1, or tail
         repl = tail.inv() if head_exp == 1 else tail
+        grow = len(repl) - 1
+        _check_letters("Tietze relators", sum(
+            len(r) + grow * sum(abs(e) for g, e in r.syllables if g == gen)
+            for r in relators))
         relators = [substitute(r, gen, repl) for r in relators]
         alive.discard(gen)
         steps += 1

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -22,8 +23,10 @@ from latcover.intlinalg import AbelianInvariants, quotient_invariants
 from latcover.nq2 import (class2_quotient, subgroup_abelianization,
                           subgroup_class2)
 from latcover.pathlift import LiftedPresentation
+from latcover.presets import dm_lattice
 
-from helpers_latcover import reference_tietze_reduce, reference_todd_coxeter
+from helpers_latcover import (ROOT, load_script, reference_tietze_reduce,
+                              reference_todd_coxeter)
 
 
 def w(text, gens):
@@ -357,6 +360,57 @@ def test_tietze_letter_bound_after_a_move(monkeypatch):
         tietze_reduce(pres)
 
 
+def test_tietze_sweep_keeps_the_earlier_of_two_equal_relators():
+    # eliminating x = a turns the third relator into the inverse of the
+    # first: the first survives in its place, and the last keeps its order
+    pres = parse_presentation(
+        "generators: x a b\na^2*b^2\nx*a^-1\nb^-2*x^-2\na^3*b^-3\n")
+    assert tietze_reduce(pres) == Presentation(
+        ["a", "b"], [Word([(0, 2), (1, 2)]), Word([(0, 3), (1, -3)])])
+
+
+def test_tietze_drops_a_relator_a_substitution_cancels():
+    # eliminating x = a turns x^2*a^-2 into the identity
+    pres = parse_presentation("generators: x a b\nx*a^-1\nx^2*a^-2\nb^3\n")
+    assert tietze_reduce(pres) == Presentation(["a", "b"], [Word([(1, 3)])])
+
+
+def test_tietze_letter_total_after_the_sweep(monkeypatch):
+    # 17 letters on entry, 15 once the sweep drops c^-2 (the inverse of
+    # c^2); eliminating a = b^9 removes its 10 letters and turns a^3 into
+    # b^27, so 29 letters after the move, not 31 (swept c^-2 counted) or
+    # 39 (the eliminating relator counted)
+    pres = parse_presentation("generators: a b c\na*b^-9\na^3\nc^2\nc^-2\n")
+    monkeypatch.setattr(fpgroups, "MAX_WORD_LETTERS", 29)
+    assert tietze_reduce(pres) == Presentation(
+        ["b", "c"], [Word([(0, 27)]), Word([(1, 2)])])
+    monkeypatch.setattr(fpgroups, "MAX_WORD_LETTERS", 28)
+    with pytest.raises(EnumerationLimit, match="have 29 letters"):
+        tietze_reduce(pres)
+
+
+@pytest.mark.stretch
+def test_tietze_index_6048_kernel_to_fifty_generators(monkeypatch):
+    """Opt-in: the Schreier presentation of the index-6048 kernel of
+    reduction mod 3 (the benchmark's seed-1 kernel words; 12,097 generators,
+    42,336 relators) comes down to at most 50 generators in 12,050 moves.
+    Set LATCOVER_STRETCH=1 to run it."""
+    if not os.environ.get("LATCOVER_STRETCH"):
+        pytest.skip("stretch check not requested (set LATCOVER_STRETCH=1)")
+    reference = load_script("perfbench_reference",
+                            ROOT / "perfbench" / "reference.py")
+    name = "dm-11-7-2-2-2-12"
+    files = reference.PresetFiles(ROOT / "src" / "latcover" / "presets" / name)
+    pres = dm_lattice(name).presentation
+    words = [pres.word(text) for text in
+             reference.kernel_words(files, random.Random(1), 300)]
+    table = todd_coxeter(pres, words)
+    assert table.index == 6048
+    monkeypatch.setattr(fpgroups, "TIETZE_STEPS", 12050)
+    reduced = tietze_reduce(schreier_system(table, pres).presentation)
+    assert reduced.ngens <= 50
+
+
 # ---------------------------------------------------------------- preimage
 
 
@@ -611,13 +665,66 @@ def test_tietze_preserves_abelianization(pres):
 @given(random_presentation(max_gens=5, max_relators=8, max_syllables=10))
 @settings(max_examples=250, deadline=None)
 def test_tietze_moves_match_reference(steps, pres):
-    # the per-relator records must make the moves of the engine that
-    # rebuilds every relator after every move, up to any step limit
+    # the slot index and lazy heap must make the moves of the engine that
+    # rebuilds and rescans every relator after every move, up to any step
+    # limit
     with pytest.MonkeyPatch.context() as mp:
         if steps is not None:
             mp.setattr(fpgroups, "TIETZE_STEPS", steps)
         assert (tietze_reduce(pres)
                 == reference_tietze_reduce(pres, fpgroups.TIETZE_STEPS))
+
+
+@st.composite
+def presentation_with_repeats(draw):
+    """Up to 20 generators and 40 relators, some of them rotated or
+    inverted copies of others, placed anywhere in the list."""
+    pres = draw(random_presentation(max_gens=20, max_relators=30,
+                                    max_syllables=10))
+    rels = list(pres.relators)
+    copies = st.tuples(st.integers(0, 29), st.integers(0, 9), st.booleans(),
+                       st.integers(0, 40))
+    for pick, turn, invert, at in draw(st.lists(copies, max_size=10)):
+        if not rels:
+            break
+        syl = rels[pick % len(rels)].syllables
+        turn %= len(syl) + 1
+        copy = Word(syl[turn:] + syl[:turn])
+        rels.insert(at % (len(rels) + 1), copy.inv() if invert else copy)
+    return Presentation(pres.gens, rels)
+
+
+def test_tietze_moves_match_reference_at_scale():
+    # one move here can touch many relators, settle repeats and leave stale
+    # heap entries; a letter bound at most 20,000 above the given relators
+    # stops random growth, often within a move or two, and checks the
+    # running letter total against the reference's full sum: the same
+    # result or the same EnumerationLimit message, at step limits 1, 2, 5
+    # and the default, and both outcomes must occur
+    outcomes = set()
+
+    @given(presentation_with_repeats(),
+           st.integers(0, 40) | st.integers(0, 20000),
+           st.sampled_from([1, 2, 5, None]))
+    @settings(max_examples=300, deadline=None)
+    def check(pres, slack, steps):
+        results = []
+        with pytest.MonkeyPatch.context() as mp:
+            if steps is not None:
+                mp.setattr(fpgroups, "TIETZE_STEPS", steps)
+            mp.setattr(fpgroups, "MAX_WORD_LETTERS",
+                       sum(len(r) for r in pres.relators) + slack)
+            for reduce in (tietze_reduce, lambda p: reference_tietze_reduce(
+                    p, fpgroups.TIETZE_STEPS)):
+                try:
+                    results.append(reduce(pres))
+                except EnumerationLimit as exc:
+                    results.append(str(exc))
+        assert results[0] == results[1]
+        outcomes.add(type(results[0]))
+
+    check()
+    assert outcomes == {Presentation, str}
 
 
 @st.composite

@@ -5,27 +5,19 @@ name library functions and methods and whose observers read their
 arguments and results."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from helpers_latcover import ROOT, load_script
+
 TOOLS = ROOT / "tools"
 
 
-def _load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_make_hirzebruch_imports():
-    module = _load("make_hirzebruch", TOOLS / "make_hirzebruch.py")
+    module = load_script("make_hirzebruch", TOOLS / "make_hirzebruch.py")
     assert callable(module.main)
 
 
 def test_benchmark_tracer_targets_resolve():
-    tracer = _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = load_script("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     assert tracer.TARGETS
     for prefix, modname, attr, _, _ in tracer.TARGETS:
         owner = importlib.import_module(modname)
@@ -36,7 +28,8 @@ def test_benchmark_tracer_targets_resolve():
 
 
 def test_benchmark_tracer_observers_accept_library_results(capsys):
-    tracer_module = _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = load_script("perfbench_tracer",
+                                ROOT / "perfbench" / "tracer.py")
     from latcover import cli
     preset = "dm-5-4-1-1-1-6"
     hirzebruch = ("--preset", preset, "--subgroup", "hirzebruch")
