@@ -97,18 +97,18 @@ def cmd_lift(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
 # ------------------------------------------------------------------ winding
 
 
-# rows are formatted from Python floats, which format several times faster
-# than numpy scalars, converted one slice at a time so that the converted
-# copy stays small even at MAX_PATH_SAMPLES
-_SAMPLE_SLICE = 1024
+# rows are %-formatted from Python floats, several times faster than numpy
+# scalars, a slice at a time: the converted copy and each string stay small
+# (with 1,024-sample slices the process's peak RSS was about 1.5 MB higher)
+_SAMPLE_SLICE = 256
 
 
 def _format_rows(row: str, *columns) -> Iterator[str]:
-    """`row` formatted once per sample, with one field from each numpy
+    """`row` %-formatted once per sample, with one field from each numpy
     column, one string per slice of samples."""
     for lo in range(0, len(columns[0]), _SAMPLE_SLICE):
         floats = [c[lo:lo + _SAMPLE_SLICE].tolist() for c in columns]
-        yield (row * len(floats[0])).format(*chain.from_iterable(zip(*floats)))
+        yield (row * len(floats[0])) % tuple(chain.from_iterable(zip(*floats)))
 
 
 def _svg(path) -> str:
@@ -121,7 +121,7 @@ def _svg(path) -> str:
     size = 600.0
     px = (xs - lo) / span * size
     py = size - (ys - lo) / span * size
-    points = "".join(_format_rows("{:.2f},{:.2f} ", px, py))[:-1]
+    points = "".join(_format_rows("%.2f,%.2f ", px, py))[:-1]
     x0, y0 = float(px[0]), float(py[0])
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size:.0f} '
@@ -158,7 +158,7 @@ def cmd_winding(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
             raise InputError(f"cannot write SVG trace: {exc}") from None
     # one join, so that the whole report is built only once
     return "".join([head, "s,re,im\n", *_format_rows(
-        "{:.9f},{:.9f},{:.9f}\n", path.s, path.values.real,
+        "%.9f,%.9f,%.9f\n", path.s, path.values.real,
         path.values.imag)]), EXIT_OK
 
 
@@ -166,9 +166,10 @@ def cmd_winding(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
 
 
 def _residual_at_bits(mat: GroupMatrix, bits: int) -> float:
+    roots: dict = {}  # shared by the entries of the matrix and the form
     with mpmath.workprec(bits + 16):
-        entries = [[embed_complex(e, bits) for e in row] for row in mat.exact]
-        form = [[embed_complex(e, bits) for e in row] for row in mat.form.matrix]
+        entries, form = ([[embed_complex(e, bits, roots) for e in row]
+                          for row in m] for m in (mat.exact, mat.form.matrix))
         worst = mpmath.mpf(0)
         for i in range(3):
             for j in range(3):

@@ -282,16 +282,21 @@ def zeta_power(m: int, a: int) -> CycloElt:
     return zeta(m, a % m) if m > 1 else CycloElt.one()
 
 
-def embed_complex(a: CycloElt, bits: int = 128) -> mpmath.mpc:
-    """Image of a under zeta_n -> exp(2*pi*i/n), summed at bits + 16 bits."""
+def embed_complex(a: CycloElt, bits: int = 128,
+                  roots: Optional[dict] = None) -> mpmath.mpc:
+    """Image of a under zeta_n -> exp(2*pi*i/n), summed at bits + 16 bits;
+    `roots` memoises each zeta_n^k across the calls at one `bits` sharing it."""
     if bits < 53:
         raise ValueError(f"need at least 53 bits, got {bits}")
+    roots = {} if roots is None else roots
     with mpmath.workprec(bits + 16):
         value = mpmath.mpc(0)
-        for k, c in enumerate(a.coeffs):
+        for k, c in enumerate(a.num):
             if c:
-                term = mpmath.mpf(c.numerator) / c.denominator
-                value += term * mpmath.expjpi(mpmath.mpf(2 * k) / a.n)
+                if (a.n, k) not in roots:
+                    roots[a.n, k] = mpmath.expjpi(mpmath.mpf(2 * k) / a.n)
+                g = gcd(c, a.den)  # in lowest terms, c/den rounds exactly once
+                value += mpmath.mpf(c // g) / (a.den // g) * roots[a.n, k]
         return value
 
 
@@ -347,7 +352,7 @@ def parse_cyclo(text: str, conductor: int) -> CycloElt:
             return exp
         return 1
 
-    def take_term() -> Tuple[Fraction, Optional[int]]:
+    def take_term() -> Tuple[Fraction, int]:
         nonlocal i
         kind, val = peek()
         if kind == "rat":
@@ -357,7 +362,7 @@ def parse_cyclo(text: str, conductor: int) -> CycloElt:
                 if peek()[0] != "z":
                     raise ValueError(f"expected z-term after '*' in {text!r}")
                 return val, take_zpart()
-            return val, None
+            return val, 0
         if kind == "z":
             return Fraction(1), take_zpart()
         raise ValueError(f"expected a term in {text!r}")
@@ -378,13 +383,12 @@ def parse_cyclo(text: str, conductor: int) -> CycloElt:
         coeff, exp = take_term()
         terms.append((-coeff if val == "-" else coeff, exp))
 
-    result = CycloElt.zero(conductor)
-    for coeff, exp in terms:
-        if exp is None:
-            result = result + CycloElt.rational(coeff).promote(conductor)
-        else:
-            result = result + coeff * zeta(conductor, exp % conductor)
-    return result
+    cyclotomic_polynomial(conductor)  # ValueError unless conductor >= 1
+    den = lcm(*(c.denominator for c, _ in terms))
+    num = [0] * conductor
+    for c, exp in terms:
+        num[exp % conductor] += c.numerator * den // c.denominator
+    return CycloElt._of(conductor, num, den)
 
 
 def to_literal(a: CycloElt) -> str:

@@ -268,7 +268,8 @@ def _unit_elimination(rows: List[Dict[int, int]], frozen: Optional[int]
     col_rows: Dict[int, set] = {}
     for i, row in enumerate(rows):
         for c in row:
-            col_rows.setdefault(c, set()).add(i)
+            if c != frozen:
+                col_rows.setdefault(c, set()).add(i)
     heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
     chosen = set()
@@ -285,21 +286,24 @@ def _unit_elimination(rows: List[Dict[int, int]], frozen: Optional[int]
         col = min(units, key=lambda c: (len(col_rows[c]), c))
         unit = row[col]
         chosen.add(p)
-        for c in row:
+        # (column, entry, rows holding the column), None for the frozen one
+        terms = [(c, e, col_rows.get(c)) for c, e in row.items()]
+        for c in row.keys() - {frozen}:
             col_rows[c].discard(p)
         pivots.append((col, p, unit))
         for i in sorted(col_rows[col]):
             target = rows[i]
             q = target[col] * unit
-            for c, e in row.items():
+            for c, e, holders in terms:
                 value = target.get(c, 0) - q * e
                 if value:
-                    if c not in target:
-                        col_rows[c].add(i)
+                    if holders is not None and c not in target:
+                        holders.add(i)
                     target[c] = value
                 else:
                     del target[c]
-                    col_rows[c].discard(i)
+                    if holders is not None:
+                        holders.discard(i)
             log.append((i, q, p))
             heapq.heappush(heap, (len(target), i))
     return pivots, log

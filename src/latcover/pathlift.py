@@ -50,17 +50,6 @@ class GeneratorLog:
     def matrix(self) -> np.ndarray:
         return self.exp_at(1.0)
 
-    def projection_samples(self, start: np.ndarray, sign: int,
-                           times: np.ndarray) -> np.ndarray:
-        """Last coordinate of exp(sign*v*t) @ start for each t, vectorized.
-
-        exp(sign*v*t)@start = sum_j (V[:,j] * (V^-1 start)_j) e^(i sign th_j t);
-        only the last row of V matters for the projection.
-        """
-        coeffs = self.vecs[2, :] * (self.vecs_inv @ start)
-        phases = np.exp(1j * sign * np.outer(times, self.thetas))
-        return phases @ coeffs
-
 
 def central_log() -> GeneratorLog:
     """Log of the central element zeta_3*Id (the distinguished lift z)."""
@@ -200,7 +189,10 @@ def relator_path(word: Word, logs: Sequence[GeneratorLog],
                  samples_per_letter: int = DEFAULT_SAMPLES_PER_LETTER
                  ) -> RelatorPath:
     """Sample the projected path of a word, refining each segment until
-    consecutive samples turn by less than pi/2, up to REFINE_BUDGET samples."""
+    consecutive samples turn by less than pi/2, up to REFINE_BUDGET samples.
+
+    Each letter's end matrix, and its sample times and phases per sample
+    count, are built once per call."""
     nominal = len(word) * samples_per_letter
     if nominal > MAX_PATH_SAMPLES:
         raise ValueError(f"path needs {nominal} samples ({len(word)} letters "
@@ -211,15 +203,23 @@ def relator_path(word: Word, logs: Sequence[GeneratorLog],
     value_parts = [np.array([1.0 + 0.0j])]
     nletters = max(len(letters), 1)
     accumulated = np.eye(3, dtype=complex)
+    ends = {key: logs[key[0]].exp_at(1.0, key[1]) for key in set(letters)}
+    tables = {}  # (gen, sign, n) -> (times, phases)
 
     for seg, (gen, sign) in enumerate(letters):
         log = logs[gen]
-        start = accumulated @ Z0
+        # exp(sign*v*t) @ start = sum_j V[:,j] (V^-1 start)_j e^(i sign th_j t),
+        # and only the last row of V matters for the projection
+        coeffs = log.vecs[2, :] * (log.vecs_inv @ (accumulated @ Z0))
         prev_value = value_parts[-1][-1]
         n = samples_per_letter
         while True:
-            times = np.arange(1, n + 1) / n
-            values = log.projection_samples(start, sign, times)
+            if (gen, sign, n) not in tables:
+                times = np.arange(1, n + 1) / n
+                tables[gen, sign, n] = times, np.exp(
+                    1j * sign * np.outer(times, log.thetas))
+            times, phases = tables[gen, sign, n]
+            values = phases @ coeffs
             all_vals = np.concatenate(([prev_value], values))
             steps = np.abs(np.angle(all_vals[1:] / all_vals[:-1]))
             if float(steps.max()) < ARG_STEP_LIMIT:
@@ -230,7 +230,7 @@ def relator_path(word: Word, logs: Sequence[GeneratorLog],
             n *= 2
         s_parts.append((seg + times) / nletters)
         value_parts.append(values)
-        accumulated = log.exp_at(1.0, sign) @ accumulated
+        accumulated = ends[gen, sign] @ accumulated
 
     if not letters:
         s_parts.append(np.array([1.0]))

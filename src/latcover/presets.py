@@ -80,22 +80,52 @@ def read_words(path: Path, presentation: Presentation) -> List[Word]:
     return words
 
 
-def central_power(word: Word, gens: Sequence[GroupMatrix],
-                  inverses: Sequence[GroupMatrix],
-                  form: HermitianForm) -> Optional[int]:
-    """j in {0,1,2} with the exact product of word over gens (negative
-    syllables read from `inverses`) equal to zeta_3^j * Id, or None when the
-    product is not such a central element."""
-    product = None
-    for g, e in word.syllables:
-        factor = gens[g] ** e if e > 0 else inverses[g] ** -e
-        product = factor if product is None else product * factor
-    if product is None:
-        product = GroupMatrix.identity(form)
-    for j in range(3):
-        if product == GroupMatrix.scalar(zeta(3) ** j, form):
-            return j
-    return None
+class WordProducts:
+    """Exact products of syllable words over generator matrices, memoised
+    by syllable tuple for one evaluation pass: a periodic word p^k is p
+    raised by squaring, any other its longest proper prefix times its last
+    syllable, and a generator is inverted at most once."""
+
+    __slots__ = ("gens", "_memo")
+
+    def __init__(self, gens: Sequence[GroupMatrix], form: HermitianForm):
+        self.gens = gens
+        self._memo = {(): GroupMatrix.identity(form)}
+
+    def of(self, syllables: Tuple[Tuple[int, int], ...]) -> GroupMatrix:
+        """The product of the syllables (g, e), each gens[g]^e."""
+        if syllables not in self._memo:
+            size = len(syllables)
+            period = next(d for d in range(1, size + 1) if size % d == 0
+                          and syllables == syllables[:d] * (size // d))
+            if period < size:
+                product = self.of(syllables[:period]) ** (size // period)
+            elif size > 1:
+                product = self.of(syllables[:-1]) * self.of(syllables[-1:])
+            else:
+                (g, e), = syllables
+                base = self.gens[g] if e > 0 else (
+                    self.gens[g].inv() if e == -1 else self.of(((g, -1),)))
+                product = base ** abs(e)
+            self._memo[syllables] = product
+        return self._memo[syllables]
+
+
+def central_power(word: Word, products: WordProducts) -> Optional[int]:
+    """j in {0,1,2} with the exact product of word equal to zeta_3^j * Id,
+    or None when the product is not such a central element. With P the
+    word's longest positive prefix and Q the inverse of the rest, that is
+    exactly P = zeta_3^j * Q."""
+    syls = word.syllables
+    cut = next((i for i, (_, e) in enumerate(syls) if e < 0), len(syls))
+    p = products.of(syls[:cut]).exact
+    q = products.of(tuple((g, -e) for g, e in reversed(syls[cut:]))).exact
+    # q is invertible: a nonzero cell first rules out every wrong j at once
+    cells = sorted(((r, c) for r in range(3) for c in range(3)),
+                   key=lambda cell: not q[cell[0]][cell[1]])
+    return next((j for j in range(3) if all(
+        p[r][c] == (zeta(3, j) * q[r][c] if j else q[r][c]) for r, c in cells)),
+        None)
 
 
 class Lattice:
@@ -133,9 +163,9 @@ class Lattice:
     def central_powers(self) -> List[Optional[int]]:
         """Each relator's exact central power (see `central_power`)."""
         if self._powers is None:
-            gens = [self.matrices[g] for g in self.presentation.gens]
-            inverses = [g.inv() for g in gens]
-            self._powers = [central_power(rel, gens, inverses, self.form)
+            products = WordProducts(
+                [self.matrices[g] for g in self.presentation.gens], self.form)
+            self._powers = [central_power(rel, products)
                             for rel in self.presentation.relators]
         return self._powers
 

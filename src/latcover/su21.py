@@ -76,9 +76,10 @@ def _exact_standard_form() -> ExactMatrix:
 
 def _numeric_from_exact(a: ExactMatrix, bits: int = DEFAULT_EMBED_BITS) -> np.ndarray:
     """The one exact-to-float boundary: entries embedded at `bits` bits, then
-    rounded to complex doubles."""
-    return np.array([[complex(embed_complex(entry, bits)) for entry in row]
-                     for row in a])
+    rounded to complex doubles. The entries share one table of roots."""
+    roots: dict = {}
+    return np.array([[complex(embed_complex(entry, bits, roots))
+                      for entry in row] for row in a])
 
 
 class HermitianForm:
@@ -195,8 +196,7 @@ def scale_to_su(g: GroupMatrix) -> GroupMatrix:
     e = a % m
     if e > m // 2:
         e -= m
-    delta = zeta_power(3 * m, e)
-    scaled = g.scale(delta.inv())
+    scaled = g.scale(zeta_power(3 * m, -e))
     if scaled.det() != CycloElt.one():
         raise AssertionError("determinant scaling failed to reach det 1")
     return scaled

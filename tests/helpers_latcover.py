@@ -1,5 +1,6 @@
 """Shared builders for the worked lattice data used across test modules."""
 
+import heapq
 import importlib.util
 from collections import deque
 from fractions import Fraction
@@ -7,15 +8,18 @@ from math import gcd
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from latcover.exactnum import (CycloElt, cyclotomic_polynomial, to_literal,
                                zeta)
 from latcover.fpgroups import (CosetTable, EnumerationLimit, Presentation,
                                Word, _check_letters, braid_relator)
 from latcover.intlinalg import hnf, quotient_invariants, saturation_order
 from latcover.nq2 import ClassTwoElement, _unit_wedge, wedge_size
-from latcover.pathlift import LiftedPresentation, lift_presentation
+from latcover.pathlift import (ARG_STEP_LIMIT, LiftedPresentation,
+                               lift_presentation)
 from latcover.presets import Lattice
-from latcover.su21 import GroupMatrix, HermitianForm, scale_to_su
+from latcover.su21 import Z0, GroupMatrix, HermitianForm, scale_to_su
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -618,3 +622,92 @@ def reference_todd_coxeter(pres: Presentation,
     if not result.validates(pres, subgroup_gens):
         raise AssertionError("enumeration produced an invalid table")
     return result
+
+
+def reference_central_power(word: Word, gens: Sequence[GroupMatrix],
+                            form: HermitianForm) -> Optional[int]:
+    """The reference for `presets.central_power`: the word's product taken
+    letter by letter, left to right, compared with each zeta_3^j * Id."""
+    inverses = [g.inv() for g in gens]
+    product = GroupMatrix.identity(form)
+    for g, sign in word.letters():
+        product = product * (gens[g] if sign > 0 else inverses[g])
+    return next((j for j in range(3)
+                 if product == GroupMatrix.scalar(zeta(3) ** j, form)), None)
+
+
+def reference_relator_path(word: Word, logs, samples_per_letter: int):
+    """The reference for `pathlift.relator_path`'s samples, as (s, values):
+    every segment is sampled from scratch, with fresh times, phases and end
+    matrix, and refined by doubling its sample count."""
+    import numpy as np
+    from latcover.pathlift import ARG_STEP_LIMIT
+    from latcover.su21 import Z0
+
+    letters = list(reversed(word.letters()))
+    s_parts, value_parts = [np.array([0.0])], [np.array([1.0 + 0.0j])]
+    accumulated = np.eye(3, dtype=complex)
+    for seg, (gen, sign) in enumerate(letters):
+        log = logs[gen]
+        start = accumulated @ Z0
+        n = samples_per_letter
+        while True:
+            times = np.arange(1, n + 1) / n
+            coeffs = log.vecs[2, :] * (log.vecs_inv @ start)
+            phases = np.exp(1j * sign * np.outer(times, log.thetas))
+            values = phases @ coeffs
+            all_vals = np.concatenate(([value_parts[-1][-1]], values))
+            if np.abs(np.angle(all_vals[1:] / all_vals[:-1])).max() \
+                    < ARG_STEP_LIMIT:
+                break
+            n *= 2
+        s_parts.append((seg + times) / max(len(letters), 1))
+        value_parts.append(values)
+        accumulated = log.exp_at(1.0, sign) @ accumulated
+    if not letters:
+        s_parts.append(np.array([1.0]))
+        value_parts.append(np.array([1.0 + 0.0j]))
+    return np.concatenate(s_parts), np.concatenate(value_parts)
+
+
+def reference_unit_elimination(rows: List[Dict[int, int]],
+                               frozen: Optional[int]):
+    """The reference for `nq2._unit_elimination`: the same pivots, row
+    operations and final rows, with a row set kept for every column,
+    the frozen one included."""
+    col_rows: Dict[int, set] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    chosen, pivots, log = set(), [], []
+    while heap:
+        size, p = heapq.heappop(heap)
+        row = rows[p]
+        if p in chosen or size != len(row):
+            continue
+        units = [c for c, e in row.items() if e in (1, -1) and c != frozen]
+        if not units:
+            continue
+        col = min(units, key=lambda c: (len(col_rows[c]), c))
+        unit = row[col]
+        chosen.add(p)
+        for c in row:
+            col_rows[c].discard(p)
+        pivots.append((col, p, unit))
+        for i in sorted(col_rows[col]):
+            target = rows[i]
+            q = target[col] * unit
+            for c, e in row.items():
+                value = target.get(c, 0) - q * e
+                if value:
+                    if c not in target:
+                        col_rows[c].add(i)
+                    target[c] = value
+                else:
+                    del target[c]
+                    col_rows[c].discard(i)
+            log.append((i, q, p))
+            heapq.heappush(heap, (len(target), i))
+    return pivots, log

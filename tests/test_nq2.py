@@ -11,12 +11,14 @@ from latcover.fpgroups import (Presentation, Word, parse_presentation,
                                schreier_system, todd_coxeter)
 from latcover.intlinalg import AbelianInvariants, saturation_order
 from latcover.nq2 import (NQ2, Certificate, ClassTwoElement, NQ2Image,
-                          class2_quotient, rf_certificate,
+                          _unit_elimination, class2_quotient, rf_certificate,
                           wedge_offsets, wedge_size)
 from latcover.pathlift import LiftedPresentation
+from latcover.presets import dm_lattice
 
 from helpers_latcover import (TransformNQ2, picard_lattice,
-                              picard_presentation, raw_lift, relation_rows)
+                              picard_presentation, raw_lift,
+                              reference_unit_elimination, relation_rows)
 
 
 def words(n, max_syllables=6, max_exp=3):
@@ -619,3 +621,30 @@ def test_certificate_validates_verdict():
     with pytest.raises(ValueError, match="verdict"):
         Certificate("0" * 16, None, 1, AbelianInvariants(1, []),
                     AbelianInvariants(0, []), img, None, "MAYBE")
+
+
+# ------------------------------------------------------ unit elimination
+
+@pytest.mark.parametrize("with_z", [False, True], ids=["base", "central"])
+def test_unit_elimination_matches_reference_on_hirzebruch_rows(with_z):
+    lattice = dm_lattice("dm-5-4-1-1-1-6")
+    table = todd_coxeter(lattice.presentation,
+                         lattice.subgroup_words("hirzebruch"))
+    schreier = schreier_system(table, lattice.presentation).presentation
+    words = [rel.syllables for rel in schreier.relators]
+    frozen = None
+    if with_z:
+        frozen = schreier.ngens
+        exponents = lattice.lift().exponents * table.index
+        words = [w + ((frozen, k),) for w, k in zip(words, exponents)]
+    rows = []
+    for word in words:
+        row = {}
+        for g, e in word:
+            row[g] = row.get(g, 0) + e
+        rows.append({g: e for g, e in row.items() if e})
+    expected_rows = [dict(row) for row in rows]
+    expected = reference_unit_elimination(expected_rows, frozen)
+    assert _unit_elimination(rows, frozen) == expected
+    assert rows == expected_rows
+

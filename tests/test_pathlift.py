@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers_latcover import (picard_lattice, picard_presentation,
-                              picard_scaled, raw_lift)
+                              picard_scaled, raw_lift, reference_relator_path)
 from latcover.exactnum import zeta
 from latcover.fpgroups import Presentation, Word, braid_relator
 from latcover.pathlift import (
@@ -166,6 +166,25 @@ def test_refinement_kicks_in():
     path = relator_path(Word.gen(2) ** 6, logs, samples_per_letter=1)
     assert len(path.values) >= 13
     assert path.total_argument() / TWO_PI == pytest.approx(5 / 3, abs=1e-6)
+
+
+def _mixed_word(seed, letters):
+    rng = random.Random(seed)
+    return Word([(rng.randrange(4), rng.choice([1, -1]))
+                 for _ in range(letters)])
+
+
+@pytest.mark.parametrize("word,samples", [
+    (_mixed_word(3, 64), 256),  # repeated letters of both signs, and z
+    (Word.gen(2) ** 6, 1),  # every segment refines
+    (_mixed_word(4, 24), 300),
+], ids=["repeated-letters", "refined", "samples-300"])
+def test_path_samples_match_fresh_segments_bit_for_bit(word, samples):
+    logs = _picard_logs()
+    path = relator_path(word, logs, samples_per_letter=samples)
+    s, values = reference_relator_path(word, logs, samples)
+    assert path.s.tobytes() == s.tobytes()
+    assert path.values.tobytes() == values.tobytes()
 
 
 def test_refinement_budget_error(monkeypatch):

@@ -1,14 +1,18 @@
 import shutil
+import unittest.mock
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latcover.cli import main
 from latcover.exactnum import CycloElt
-from latcover.fpgroups import Word
-from latcover.presets import (EXPECTED_POWERS, central_power, dm_lattice,
-                              preset_ids, verify_preset)
+from latcover.fpgroups import Word, braid_relator
+from latcover.presets import (EXPECTED_POWERS, WordProducts, central_power,
+                              dm_lattice, preset_ids, verify_preset)
 from latcover.su21 import GroupMatrix, check_unitary, unitarity_residual
+
+from helpers_latcover import reference_central_power
 
 
 @pytest.fixture(scope="module")
@@ -68,31 +72,68 @@ def test_second_preset_standard_numerics(second):
         assert unitarity_residual(mat) < 1e-9
 
 
+def _products(lattice):
+    gens = [lattice.matrices[g] for g in lattice.presentation.gens]
+    return WordProducts(gens, lattice.form)
+
+
 def test_central_power_of_generator_powers(first):
-    gens = [first.matrices[g] for g in first.presentation.gens]
-    inverses = [g.inv() for g in gens]
+    products = _products(first)
     b = Word.gen(0)
-    assert central_power(b ** 3, gens, inverses, first.form) == 2
-    assert central_power(b ** 6, gens, inverses, first.form) == 1
-    assert central_power(b ** -9, gens, inverses, first.form) == 0
-    assert central_power(b, gens, inverses, first.form) is None
+    assert central_power(b ** 3, products) == 2
+    assert central_power(b ** 6, products) == 1
+    assert central_power(b ** -9, products) == 0
+    assert central_power(b, products) is None
+
+
+def _counting(calls, original):
+    def counting(self, *args):
+        calls.append(self)
+        return original(self, *args)
+
+    return counting
 
 
 @pytest.mark.parametrize("preset_id", ["dm-5-4-1-1-1-6", "dm-11-7-2-2-2-12"])
 def test_central_powers_invert_each_generator_at_most_once(monkeypatch,
                                                            preset_id):
-    inverted = []
-    original = GroupMatrix.inv
-
-    def counting(self):
-        inverted.append(self)
-        return original(self)
-
-    monkeypatch.setattr(GroupMatrix, "inv", counting)
+    # every template relator splits into two positive halves, so no
+    # generator is inverted at all; the halves share prefixes and periods
+    inverted, multiplied = [], []
+    monkeypatch.setattr(GroupMatrix, "inv",
+                        _counting(inverted, GroupMatrix.inv))
+    monkeypatch.setattr(GroupMatrix, "__mul__",
+                        _counting(multiplied, GroupMatrix.__mul__))
     preset = dm_lattice(preset_id)  # verify_preset runs central_powers()
     assert preset.central_powers() == list(EXPECTED_POWERS)
-    gens = [preset.matrices[g] for g in preset.presentation.gens]
-    assert sorted(map(id, inverted)) == sorted(map(id, gens))
+    assert inverted == []
+    assert len(multiplied) == {"dm-5-4-1-1-1-6": 20,
+                               "dm-11-7-2-2-2-12": 19}[preset_id]
+
+
+def _mixed_words():
+    letter = st.tuples(st.integers(0, 2), st.sampled_from([1, -1]))
+    plain = st.lists(letter, max_size=7).map(Word)
+    # conjugates of central words (b^3 = zeta_3^2, u^-3 = zeta_3, a braid
+    # relator = 1) put negative syllables after positive ones
+    central = st.sampled_from([Word.gen(0, 3), Word.gen(1, -3),
+                               braid_relator(0, 1, 3)])
+    conjugates = st.tuples(plain, central).map(lambda tc: tc[0] * tc[1]
+                                               * tc[0].inv())
+    return st.lists(st.one_of(plain, conjugates), min_size=1, max_size=4)
+
+
+@given(words=_mixed_words())
+@settings(max_examples=100, deadline=None)
+def test_central_power_matches_left_to_right_products(first, words):
+    products = _products(first)
+    expected = [reference_central_power(w, products.gens, first.form)
+                for w in words]
+    inverted = []
+    with unittest.mock.patch.object(GroupMatrix, "inv",
+                                    _counting(inverted, GroupMatrix.inv)):
+        assert [central_power(w, products) for w in words] == expected
+    assert len(set(map(id, inverted))) == len(inverted)
 
 
 def test_verify_powers_first(first):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from latcover.exactnum import CycloElt, zeta
-from latcover.presets import Lattice, central_power, dm_lattice
+from latcover.presets import (Lattice, WordProducts, central_power,
+                              dm_lattice)
 from latcover.su21 import (
     GroupMatrix,
     HermitianForm,
@@ -163,9 +164,8 @@ def test_numeric_view_is_embedded_once_on_read(monkeypatch):
     monkeypatch.setattr(su21, "_numeric_from_exact", counting)
     gens = [scale_to_su(g) for g in (b0, u0, v0)]
     pres = picard_presentation()
-    inverses = [g.inv() for g in gens]
-    powers = [central_power(rel, gens, inverses, form)
-              for rel in pres.relators]
+    products = WordProducts(gens, form)
+    powers = [central_power(rel, products) for rel in pres.relators]
     assert powers == [2, 2, 2, 0, 0, 0, 0]
     lattice = Lattice(pres, form, {"b": b0, "u": u0, "v": v0})
     assert lattice.central_powers() == powers
