@@ -14,7 +14,7 @@ import os
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -24,11 +24,13 @@ from .fpgroups import (EnumerationLimit, Word, format_word, parse_word,
                        todd_coxeter)
 from .nq2 import (class2_quotient, rf_certificate, subgroup_abelianization,
                   subgroup_class2)
-from .pathlift import (Z_NAME, LiftedPresentation, generator_logs,
-                       relator_path, winding_number)
 from .presets import (Lattice, LatticePreset, dm_lattice, file_lattice,
                       preset_ids, read_words, verify_preset)
 from .su21 import GroupMatrix
+
+# only lift, winding and certify import `pathlift`, and with it numpy
+if TYPE_CHECKING:
+    from .pathlift import LiftedPresentation
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -73,6 +75,7 @@ def _require_matrices(lattice: Lattice) -> None:
 
 
 def _lift(lattice: Lattice, samples: int) -> LiftedPresentation:
+    from .pathlift import Z_NAME
     _require_matrices(lattice)
     if Z_NAME in lattice.presentation.gens:
         raise InputError(f"central generator name {Z_NAME!r} collides")
@@ -136,6 +139,7 @@ def _svg(path) -> str:
 
 
 def cmd_winding(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
+    from .pathlift import Z_NAME, generator_logs, relator_path, winding_number
     _require_matrices(lattice)
     pres = lattice.presentation
     names = list(pres.gens)

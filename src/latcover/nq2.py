@@ -272,6 +272,8 @@ def _unit_elimination(rows: List[Dict[int, int]], frozen: Optional[int]
                 col_rows.setdefault(c, set()).add(i)
     heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
+    # each row's unpopped entry size (None once popped): push only on change
+    queued: List[Optional[int]] = [len(row) for row in rows]
     chosen = set()
     pivots: List[Tuple[int, int, int]] = []
     log: List[Tuple[int, int, int]] = []
@@ -280,6 +282,7 @@ def _unit_elimination(rows: List[Dict[int, int]], frozen: Optional[int]
         row = rows[p]
         if p in chosen or size != len(row):
             continue
+        queued[p] = None
         units = [c for c, e in row.items() if e in (1, -1) and c != frozen]
         if not units:
             continue
@@ -305,7 +308,9 @@ def _unit_elimination(rows: List[Dict[int, int]], frozen: Optional[int]
                     if holders is not None:
                         holders.discard(i)
             log.append((i, q, p))
-            heapq.heappush(heap, (len(target), i))
+            if len(target) != queued[i]:
+                queued[i] = len(target)
+                heapq.heappush(heap, (len(target), i))
     return pivots, log
 
 

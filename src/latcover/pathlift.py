@@ -1,6 +1,8 @@
-"""Path lifting in SU(2,1): logarithms of elliptic elements, piecewise
-relator paths, winding numbers of the last-coordinate projection, and the
-central extension presentation they determine."""
+"""Numeric SU(2,1) geometry and path lifting: the standard form, Iwasawa
+coordinates, the last-coordinate projection, logarithms of elliptic
+elements, piecewise relator paths, their winding numbers, and the central
+extension presentation they determine. Only the commands that sample paths
+import this module, and with it numpy."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .fpgroups import Presentation, Word
-from .su21 import _H_STD, Z0, unitarity_residual
+from .su21 import HermitianForm
 
 TWO_PI = 2.0 * math.pi
 EXP_TOL = 1e-10
@@ -24,10 +26,126 @@ REFINE_BUDGET = 2 ** 16
 Z_NAME = "z"  # the central generator of lifted presentations
 # bound on len(word) * samples_per_letter, checked before any allocation
 MAX_PATH_SAMPLES = 2 ** 22
+UNITARY_TOL = 1e-8
+NONVANISHING_TOL = 1e-8
+
+_H_STD = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
+# distinguished h-negative vector: last coordinate of g*z0 never vanishes
+Z0 = np.array([-1.0, 0.0, 1.0], dtype=complex)
+# columns: the h-orthonormal basis f1 = (e1+e3)/sqrt2, f2 = e2 of the
+# z0-perpendicular plane, then the normalized negative vector z0/sqrt2
+_FRAME = np.array([[1, 0, -1], [0, math.sqrt(2), 0], [1, 0, 1]]) / math.sqrt(2)
 
 # traceless anti-hermitian log of the central element zeta_3*Id; its
 # one-parameter path stays in SU(2,1) and its projection turns by +2*pi/3
 CENTRAL_THETA = np.array([TWO_PI / 3, -2 * TWO_PI / 3, TWO_PI / 3])
+
+
+class IwasawaCoords:
+    """Coordinates g = b(lam, zvec, t) * k(k_su, xi) for the standard form."""
+
+    __slots__ = ("lam", "zvec", "t", "k_su", "xi")
+
+    def __init__(self, lam: float, zvec: complex, t: float,
+                 k_su: np.ndarray, xi: complex):
+        if lam <= 0:
+            raise ValueError(f"lambda must be positive, got {lam}")
+        if abs(abs(xi) - 1.0) > 1e-6:
+            raise ValueError(f"xi must have unit modulus, got {xi}")
+        self.lam = float(lam)
+        self.zvec = complex(zvec)
+        self.t = float(t)
+        self.k_su = np.asarray(k_su, dtype=complex)
+        self.xi = complex(xi)
+
+    def b_matrix(self) -> np.ndarray:
+        lam, z, t = self.lam, self.zvec, self.t
+        return np.array([
+            [lam, -lam * z.conjugate(), -lam * abs(z) ** 2 / 2 + 1j * t],
+            [0.0, 1.0, z],
+            [0.0, 0.0, 1.0 / lam],
+        ], dtype=complex)
+
+    def k_matrix(self) -> np.ndarray:
+        # eta restores det(U) = xi^-1 from the special-unitary block
+        eta = _principal_sqrt(1.0 / self.xi)
+        u_block = eta * self.k_su
+        block = np.zeros((3, 3), dtype=complex)
+        block[:2, :2] = u_block
+        block[2, 2] = self.xi
+        return _FRAME @ block @ _FRAME.T
+
+    def matrix(self) -> np.ndarray:
+        return self.b_matrix() @ self.k_matrix()
+
+
+def _principal_sqrt(w: complex) -> complex:
+    return cmath.exp(0.5j * cmath.phase(w)) * math.sqrt(abs(w))
+
+
+def unitarity_residual(g: np.ndarray) -> float:
+    return float(np.max(np.abs(g.conj().T @ _H_STD @ g - _H_STD)))
+
+
+def standard_form_conjugator(form: HermitianForm) -> np.ndarray:
+    """Numeric C with C* h_std C = h, so g -> C g C^-1 carries h-unitary
+    matrices to standard-form unitaries."""
+    if form.is_standard:
+        return np.eye(3, dtype=complex)
+    eigvals, vecs = np.linalg.eigh(form.numeric)
+    # eigenvalues ascend, so the signature check pins the signs: one
+    # negative direction, two positive
+    a = np.vstack([
+        math.sqrt(eigvals[1]) * vecs[:, 1].conj(),
+        math.sqrt(eigvals[2]) * vecs[:, 2].conj(),
+        math.sqrt(-eigvals[0]) * vecs[:, 0].conj(),
+    ])
+    # a* diag(1,1,-1) a = h; q is its own inverse and turns diag(1,1,-1)
+    # into the antidiagonal form, q* diag(1,1,-1) q = h_std
+    s = 1.0 / math.sqrt(2.0)
+    q = np.array([[s, 0, s], [0, 1, 0], [s, 0, -s]], dtype=complex)
+    return q @ a
+
+
+def standard_form_numerics(form: HermitianForm, numeric: Sequence[np.ndarray]
+                           ) -> List[np.ndarray]:
+    """Numeric matrices unitary for `form`, conjugated to the standard form."""
+    conj = standard_form_conjugator(form)
+    conj_inv = np.linalg.inv(conj)
+    return [conj @ m @ conj_inv for m in numeric]
+
+
+def iwasawa(g: np.ndarray, tol: float = UNITARY_TOL) -> IwasawaCoords:
+    """Iwasawa coordinates of a numeric SU(2,1) matrix (standard form)."""
+    mat = np.asarray(g, dtype=complex)
+    residual = unitarity_residual(mat)
+    if residual > tol:
+        raise ValueError(f"matrix is not h-unitary: residual {residual:.3e}")
+    det = np.linalg.det(mat)
+    if abs(det - 1.0) > 1e-6:
+        raise ValueError(f"matrix is not special: det {det}")
+    w = mat @ Z0
+    lam = 1.0 / abs(w[2])
+    xi = w[2] * lam
+    zvec = w[1] / xi
+    t = (w[0] / xi).imag
+    coords_b = IwasawaCoords(lam, zvec, t, np.eye(2), 1.0)
+    k = np.linalg.inv(coords_b.b_matrix()) @ mat
+    # unitary block on the z0-perpendicular plane, read off via the form
+    plane = _FRAME[:, :2]
+    u_block = plane.conj().T @ _H_STD @ k @ plane
+    eta = _principal_sqrt(1.0 / xi)
+    k_su = u_block / eta
+    return IwasawaCoords(lam, zvec, t, k_su, xi)
+
+
+def homog_project(g: np.ndarray, tol: float = NONVANISHING_TOL) -> complex:
+    """Last coordinate of g*z0; equals lambda^-1 * xi, never zero on SU(2,1)."""
+    value = complex((np.asarray(g, dtype=complex) @ Z0)[2])
+    if abs(value) < tol:
+        raise ValueError(f"projection modulus {abs(value):.3e} below {tol}; "
+                         "input is not close to SU(2,1)")
+    return value
 
 
 class GeneratorLog:

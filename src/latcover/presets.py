@@ -7,18 +7,18 @@ from __future__ import annotations
 import os
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from .exactnum import zeta
 from .fpgroups import (Presentation, Word, braid_relator, parse_presentation,
                        format_word)
-from .pathlift import (DEFAULT_SAMPLES_PER_LETTER, LiftedPresentation,
-                       lift_presentation, normalize_lift)
 from .su21 import (GroupMatrix, HermitianForm, check_unitary,
-                   parse_matrix_entries, parse_matrix_file, scale_to_su,
-                   standard_form_conjugator)
+                   parse_matrix_entries, parse_matrix_file, scale_to_su)
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .pathlift import LiftedPresentation
 
 _CANONICAL = {
     "dm-5-4-1-1-1-6": "dm-5-4-1-1-1-6",
@@ -131,10 +131,11 @@ def central_power(word: Word, products: WordProducts) -> Optional[int]:
 class Lattice:
     """A presentation, optionally with exact generator matrices.
 
-    Matrices of any root-of-unity determinant are scaled into SU(2,1); for a
-    non-standard form their numerics are also conjugated to the standard
-    form, where path sampling works. Each relator's central power is
-    evaluated exactly once, on first use.
+    Matrices of any root-of-unity determinant are scaled into SU(2,1). Each
+    relator's central power is evaluated exactly once, on first use. The
+    numeric view, conjugated to the standard form where path sampling
+    works, is built on the first `numerics()` call: loading a lattice
+    embeds nothing and imports no numeric module.
     """
 
     __slots__ = ("presentation", "form", "matrices", "standard_numerics",
@@ -146,7 +147,7 @@ class Lattice:
         self.presentation = presentation
         self.form = form
         self.matrices: Optional[Dict[str, GroupMatrix]] = None
-        self.standard_numerics: Optional[Dict[str, np.ndarray]] = None
+        self.standard_numerics: Optional[List[np.ndarray]] = None
         self._powers: Optional[List[Optional[int]]] = None
         if matrices is None:
             return
@@ -154,11 +155,6 @@ class Lattice:
         if missing:
             raise ValueError(f"matrix file lacks generators {missing}")
         self.matrices = {g: scale_to_su(matrices[g]) for g in presentation.gens}
-        if not form.is_standard:
-            conj = standard_form_conjugator(form)
-            conj_inv = np.linalg.inv(conj)
-            self.standard_numerics = {g: conj @ m.numeric @ conj_inv
-                                      for g, m in self.matrices.items()}
 
     def central_powers(self) -> List[Optional[int]]:
         """Each relator's exact central power (see `central_power`)."""
@@ -171,14 +167,22 @@ class Lattice:
 
     def numerics(self) -> List[np.ndarray]:
         """Standard-form numeric generator matrices, in generator order."""
-        if self.standard_numerics is not None:
-            return [self.standard_numerics[g] for g in self.presentation.gens]
-        return [self.matrices[g].numeric for g in self.presentation.gens]
+        numeric = [self.matrices[g].numeric for g in self.presentation.gens]
+        if self.form.is_standard:
+            return numeric
+        if self.standard_numerics is None:
+            from .pathlift import standard_form_numerics
+            self.standard_numerics = standard_form_numerics(self.form, numeric)
+        return list(self.standard_numerics)
 
-    def lift(self, samples_per_letter: int = DEFAULT_SAMPLES_PER_LETTER
+    def lift(self, samples_per_letter: Optional[int] = None
              ) -> LiftedPresentation:
-        """Lift to the universal cover, in the canonical generator gauge."""
-        return normalize_lift(lift_presentation(
+        """Lift to the universal cover, in the canonical generator gauge, at
+        `pathlift.DEFAULT_SAMPLES_PER_LETTER` samples per letter by default."""
+        from . import pathlift
+        if samples_per_letter is None:
+            samples_per_letter = pathlift.DEFAULT_SAMPLES_PER_LETTER
+        return pathlift.normalize_lift(pathlift.lift_presentation(
             self.presentation, self.central_powers(), self.numerics(),
             samples_per_letter))
 

@@ -1,24 +1,19 @@
-"""Matrix layer for SU(2,1): exact hermitian-form checks, determinant
-scaling, numeric Iwasawa coordinates, and the homogeneous last-coordinate
-projection used by the winding engine."""
+"""Exact matrix layer for SU(2,1): hermitian forms with an exact signature
+test, exact products and unitarity checks, determinant scaling, and the
+matrix fixture format. numpy is imported only to embed a complex view on its
+first read; the numeric geometry lives in `pathlift`."""
 
 from __future__ import annotations
 
-import cmath
-import math
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .exactnum import (CycloElt, dot, embed_complex, parse_cyclo, to_literal,
                        zeta_power)
 
-DEFAULT_EMBED_BITS = 96
-UNITARY_TOL = 1e-8
-NONVANISHING_TOL = 1e-8
+if TYPE_CHECKING:
+    import numpy as np
 
-# distinguished h-negative vector: last coordinate of g*z0 never vanishes
-Z0 = np.array([-1.0, 0.0, 1.0], dtype=complex)
+DEFAULT_EMBED_BITS = 96
 
 ExactMatrix = Tuple[Tuple[CycloElt, ...], ...]
 
@@ -77,24 +72,45 @@ def _exact_standard_form() -> ExactMatrix:
 def _numeric_from_exact(a: ExactMatrix, bits: int = DEFAULT_EMBED_BITS) -> np.ndarray:
     """The one exact-to-float boundary: entries embedded at `bits` bits, then
     rounded to complex doubles. The entries share one table of roots."""
+    import numpy as np
     roots: dict = {}
     return np.array([[complex(embed_complex(entry, bits, roots))
                       for entry in row] for row in a])
 
 
+def _sign(x: CycloElt) -> int:
+    """Sign of a real element: exactly 0 or read from its embedding."""
+    if not x:
+        return 0
+    return 1 if embed_complex(x, DEFAULT_EMBED_BITS).real > 0 else -1
+
+
 class HermitianForm:
     """3x3 hermitian matrix of signature (2,1) over exact cyclotomics."""
 
-    __slots__ = ("matrix", "numeric")
+    __slots__ = ("matrix", "_numeric")
 
     def __init__(self, matrix):
-        self.matrix = _as_exact_matrix(matrix)
-        if _exact_conj_transpose(self.matrix) != self.matrix:
+        self.matrix = h = _as_exact_matrix(matrix)
+        if _exact_conj_transpose(h) != h:
             raise ValueError("form matrix is not hermitian")
-        self.numeric = _numeric_from_exact(self.matrix)
-        eigs = np.linalg.eigvalsh(self.numeric)
-        if not (eigs[0] < -1e-9 and eigs[1] > 1e-9 and eigs[2] > 1e-9):
-            raise ValueError(f"form does not have signature (2,1): eigenvalues {eigs}")
+        self._numeric: Optional[np.ndarray] = None
+        # Descartes' rule on the real-rooted t^3 - c2 t^2 + c1 t - c0: with
+        # c0 < 0 one or three eigenvalues are negative and none is zero, three
+        # exactly when c2 < 0 and c1 > 0 (c1 sums the principal 2x2 minors)
+        c2 = h[0][0] + h[1][1] + h[2][2]
+        c1 = dot((h[0][0], h[0][0], h[1][1], -h[0][1], -h[0][2], -h[1][2]),
+                 (h[1][1], h[2][2], h[2][2], h[1][0], h[2][0], h[2][1]))
+        c0 = _exact_det(h)
+        if _sign(c0) >= 0 or (_sign(c2) < 0 and _sign(c1) > 0):
+            raise ValueError("form does not have signature (2,1): trace, minor "
+                             f"sum, det {[to_literal(c) for c in (c2, c1, c0)]}")
+
+    @property
+    def numeric(self) -> np.ndarray:
+        if self._numeric is None:
+            self._numeric = _numeric_from_exact(self.matrix)
+        return self._numeric
 
     @staticmethod
     def standard() -> "HermitianForm":
@@ -200,123 +216,6 @@ def scale_to_su(g: GroupMatrix) -> GroupMatrix:
     if scaled.det() != CycloElt.one():
         raise AssertionError("determinant scaling failed to reach det 1")
     return scaled
-
-
-class IwasawaCoords:
-    """Coordinates g = b(lam, zvec, t) * k(k_su, xi) for the standard form."""
-
-    __slots__ = ("lam", "zvec", "t", "k_su", "xi")
-
-    def __init__(self, lam: float, zvec: complex, t: float,
-                 k_su: np.ndarray, xi: complex):
-        if lam <= 0:
-            raise ValueError(f"lambda must be positive, got {lam}")
-        if abs(abs(xi) - 1.0) > 1e-6:
-            raise ValueError(f"xi must have unit modulus, got {xi}")
-        self.lam = float(lam)
-        self.zvec = complex(zvec)
-        self.t = float(t)
-        self.k_su = np.asarray(k_su, dtype=complex)
-        self.xi = complex(xi)
-
-    def b_matrix(self) -> np.ndarray:
-        lam, z, t = self.lam, self.zvec, self.t
-        return np.array([
-            [lam, -lam * z.conjugate(), -lam * abs(z) ** 2 / 2 + 1j * t],
-            [0.0, 1.0, z],
-            [0.0, 0.0, 1.0 / lam],
-        ], dtype=complex)
-
-    def k_matrix(self) -> np.ndarray:
-        # eta restores det(U) = xi^-1 from the special-unitary block
-        eta = _principal_sqrt(1.0 / self.xi)
-        u_block = eta * self.k_su
-        block = np.zeros((3, 3), dtype=complex)
-        block[:2, :2] = u_block
-        block[2, 2] = self.xi
-        p = _frame_matrix()
-        return p @ block @ p.T
-
-    def matrix(self) -> np.ndarray:
-        return self.b_matrix() @ self.k_matrix()
-
-
-def _principal_sqrt(w: complex) -> complex:
-    return cmath.exp(0.5j * cmath.phase(w)) * math.sqrt(abs(w))
-
-
-def _frame_matrix() -> np.ndarray:
-    """Columns: h-orthonormal basis f1=(e1+e3)/sqrt2, f2=e2 of the z0-
-    perpendicular plane, then the normalized negative vector z0/sqrt2."""
-    s = 1.0 / math.sqrt(2.0)
-    return np.array([
-        [s, 0.0, -s],
-        [0.0, 1.0, 0.0],
-        [s, 0.0, s],
-    ], dtype=complex)
-
-
-_H_STD = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
-
-
-def unitarity_residual(g: np.ndarray) -> float:
-    return float(np.max(np.abs(g.conj().T @ _H_STD @ g - _H_STD)))
-
-
-def standard_form_conjugator(form: HermitianForm) -> np.ndarray:
-    """Numeric C with C* h_std C = h, so g -> C g C^-1 carries h-unitary
-    matrices to standard-form unitaries."""
-    if form.is_standard:
-        return np.eye(3, dtype=complex)
-    eigvals, vecs = np.linalg.eigh(form.numeric)
-    # eigenvalues ascend, so the signature check pins the signs: one
-    # negative direction, two positive
-    a = np.vstack([
-        math.sqrt(eigvals[1]) * vecs[:, 1].conj(),
-        math.sqrt(eigvals[2]) * vecs[:, 2].conj(),
-        math.sqrt(-eigvals[0]) * vecs[:, 0].conj(),
-    ])
-    # a* diag(1,1,-1) a = h; q is its own inverse and turns diag(1,1,-1)
-    # into the antidiagonal form, q* diag(1,1,-1) q = h_std
-    s = 1.0 / math.sqrt(2.0)
-    q = np.array([[s, 0, s], [0, 1, 0], [s, 0, -s]], dtype=complex)
-    return q @ a
-
-
-def iwasawa(g: np.ndarray, tol: float = UNITARY_TOL) -> IwasawaCoords:
-    """Iwasawa coordinates of a numeric SU(2,1) matrix (standard form)."""
-    mat = np.asarray(g, dtype=complex)
-    residual = unitarity_residual(mat)
-    if residual > tol:
-        raise ValueError(f"matrix is not h-unitary: residual {residual:.3e}")
-    det = np.linalg.det(mat)
-    if abs(det - 1.0) > 1e-6:
-        raise ValueError(f"matrix is not special: det {det}")
-    w = mat @ Z0
-    lam = 1.0 / abs(w[2])
-    xi = w[2] * lam
-    zvec = w[1] / xi
-    t = (w[0] / xi).imag
-    coords_b = IwasawaCoords(lam, zvec, t, np.eye(2), 1.0)
-    k = np.linalg.inv(coords_b.b_matrix()) @ mat
-    # unitary block on the z0-perpendicular plane, read off via the form
-    f1 = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
-    f2 = np.array([0.0, 1.0, 0.0])
-    frame = [f1, f2]
-    u_block = np.array([[fi.conj() @ _H_STD @ (k @ fj) for fj in frame]
-                        for fi in frame])
-    eta = _principal_sqrt(1.0 / xi)
-    k_su = u_block / eta
-    return IwasawaCoords(lam, zvec, t, k_su, xi)
-
-
-def homog_project(g: np.ndarray, tol: float = NONVANISHING_TOL) -> complex:
-    """Last coordinate of g*z0; equals lambda^-1 * xi, never zero on SU(2,1)."""
-    value = complex((np.asarray(g, dtype=complex) @ Z0)[2])
-    if abs(value) < tol:
-        raise ValueError(f"projection modulus {abs(value):.3e} below {tol}; "
-                         "input is not close to SU(2,1)")
-    return value
 
 
 # ---------------------------------------------------------------- fixture files

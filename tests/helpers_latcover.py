@@ -16,10 +16,10 @@ from latcover.fpgroups import (CosetTable, EnumerationLimit, Presentation,
                                Word, _check_letters, braid_relator)
 from latcover.intlinalg import hnf, quotient_invariants, saturation_order
 from latcover.nq2 import ClassTwoElement, _unit_wedge, wedge_size
-from latcover.pathlift import (ARG_STEP_LIMIT, LiftedPresentation,
+from latcover.pathlift import (ARG_STEP_LIMIT, Z0, LiftedPresentation,
                                lift_presentation)
 from latcover.presets import Lattice
-from latcover.su21 import Z0, GroupMatrix, HermitianForm, scale_to_su
+from latcover.su21 import GroupMatrix, HermitianForm, scale_to_su
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -642,7 +642,6 @@ def reference_relator_path(word: Word, logs, samples_per_letter: int):
     matrix, and refined by doubling its sample count."""
     import numpy as np
     from latcover.pathlift import ARG_STEP_LIMIT
-    from latcover.su21 import Z0
 
     letters = list(reversed(word.letters()))
     s_parts, value_parts = [np.array([0.0])], [np.array([1.0 + 0.0j])]

@@ -689,6 +689,73 @@ def test_nonunitary_user_matrix_exits_2(capsys, tmp_path):
     assert "not unitary" in err
 
 
+_IDENTITY = ["1", "0", "0", "0", "1", "0", "0", "0", "1"]
+
+
+@pytest.mark.parametrize("form, rc", [
+    (["1", "0", "0", "0", "1", "0", "0", "0", "1"], 2),  # (3,0)
+    (["1", "0", "0", "0", "-1", "0", "0", "0", "-1"], 2),  # (1,2)
+    (["-1", "0", "0", "0", "-1", "0", "0", "0", "-1"], 2),  # (0,3)
+    (["1", "1", "0", "1", "1", "0", "0", "0", "-1"], 2),  # eigenvalue 0
+    (None, 0),
+    (["2", "z4", "0", "-z4", "1", "0", "0", "0", "-1"], 0),
+    (["1", "0", "0", "0", "1", "0", "0", "0", "-5"], 0),  # negative trace
+], ids=["3-0", "1-2", "0-3", "singular", "standard", "custom",
+        "negative-trace"])
+def test_form_signature_decides_the_exit_code(capsys, tmp_path, form, rc):
+    (tmp_path / "p.txt").write_text("generators: g\ng^2\n")
+    header = ["form standard"] if form is None else ["form custom"] + form
+    (tmp_path / "m.txt").write_text("\n".join(
+        ["conductor 4"] + header + ["matrix g"] + _IDENTITY) + "\n")
+    got, out, err = run(capsys, "abelian", "--pres", str(tmp_path / "p.txt"),
+                        "--matrices", str(tmp_path / "m.txt"))
+    assert got == rc
+    if rc:
+        assert out == ""
+        assert err.startswith("error: form does not have signature (2,1)")
+    else:
+        assert out == "abelianization: Z/2\n"
+
+
+_NO_NUMPY_SCRIPT = """\
+import contextlib, io, json, sys
+from latcover.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    print(json.dumps([argv[0], rc, "numpy" in sys.modules]))
+"""
+
+
+def test_group_theory_commands_never_import_numpy(tmp_path):
+    import json
+    import os
+    import subprocess
+    import sys
+    import latcover
+    whole = tmp_path / "whole.words"
+    whole.write_text("b\nu\nv\n")
+    root = _presets_root() / PRESET2
+    inputs = [["--preset", PRESET1], ["--preset", PRESET2],
+              ["--pres", str(root / "presentation.txt"),
+               "--matrices", str(root / "matrices.txt")]]
+    runs = [["verify", "--preset", PRESET1], ["verify", "--preset", PRESET2],
+            ["cosets", "--preset", PRESET1, "--subgroup", "hirzebruch"],
+            ["subpres", "--preset", PRESET1, "--subgroup", "hirzebruch"]]
+    for lattice in inputs:
+        runs += [["cosets", *lattice, "--subgroup", str(whole)],
+                 ["subpres", *lattice, "--subgroup", str(whole)],
+                 ["abelian", *lattice], ["nq2", *lattice]]
+    runs.append(["lift", "--preset", PRESET2])
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(latcover.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(runs)], env=env,
+        capture_output=True, text=True, check=True, timeout=300)
+    results = [json.loads(line) for line in done.stdout.splitlines()]
+    assert results == [[argv[0], 0, argv[0] == "lift"] for argv in runs]
+
+
 def test_zero_denominator_in_matrix_file_exits_2(capsys, tmp_path,
                                                  preset1_dir):
     lines = (preset1_dir / "matrices.txt").read_text().splitlines()

@@ -625,11 +625,8 @@ def test_certificate_validates_verdict():
 
 # ------------------------------------------------------ unit elimination
 
-@pytest.mark.parametrize("with_z", [False, True], ids=["base", "central"])
-def test_unit_elimination_matches_reference_on_hirzebruch_rows(with_z):
-    lattice = dm_lattice("dm-5-4-1-1-1-6")
-    table = todd_coxeter(lattice.presentation,
-                         lattice.subgroup_words("hirzebruch"))
+def _check_unit_elimination_on_schreier_rows(lattice, subgroup, with_z):
+    table = todd_coxeter(lattice.presentation, subgroup)
     schreier = schreier_system(table, lattice.presentation).presentation
     words = [rel.syllables for rel in schreier.relators]
     frozen = None
@@ -647,4 +644,21 @@ def test_unit_elimination_matches_reference_on_hirzebruch_rows(with_z):
     expected = reference_unit_elimination(expected_rows, frozen)
     assert _unit_elimination(rows, frozen) == expected
     assert rows == expected_rows
+
+
+@pytest.mark.parametrize("with_z", [False, True], ids=["base", "central"])
+def test_unit_elimination_matches_reference_on_hirzebruch_rows(with_z):
+    lattice = dm_lattice("dm-5-4-1-1-1-6")
+    _check_unit_elimination_on_schreier_rows(
+        lattice, lattice.subgroup_words("hirzebruch"), with_z)
+
+
+@pytest.mark.parametrize("with_z", [False, True], ids=["base", "central"])
+@pytest.mark.parametrize("preset", ["dm-5-4-1-1-1-6", "dm-11-7-2-2-2-12"])
+def test_unit_elimination_matches_reference_on_whole_group_rows(preset,
+                                                                with_z):
+    lattice = dm_lattice(preset)
+    _check_unit_elimination_on_schreier_rows(
+        lattice, [Word.gen(g) for g in range(lattice.presentation.ngens)],
+        with_z)
 

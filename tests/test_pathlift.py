@@ -12,6 +12,7 @@ from latcover.fpgroups import Presentation, Word, braid_relator
 from latcover.pathlift import (
     CENTRAL_THETA,
     GeneratorLog,
+    IwasawaCoords,
     LiftedPresentation,
     RelatorPath,
     TWO_PI,
@@ -22,7 +23,7 @@ from latcover.pathlift import (
     winding_number,
 )
 from latcover.presets import Lattice
-from latcover.su21 import GroupMatrix, HermitianForm, IwasawaCoords
+from latcover.su21 import GroupMatrix, HermitianForm
 
 H = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
 ZETA3 = cmath.exp(2j * math.pi / 3)

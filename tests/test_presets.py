@@ -10,7 +10,8 @@ from latcover.exactnum import CycloElt
 from latcover.fpgroups import Word, braid_relator
 from latcover.presets import (EXPECTED_POWERS, WordProducts, central_power,
                               dm_lattice, preset_ids, verify_preset)
-from latcover.su21 import GroupMatrix, check_unitary, unitarity_residual
+from latcover.pathlift import unitarity_residual
+from latcover.su21 import GroupMatrix, check_unitary
 
 from helpers_latcover import reference_central_power
 
@@ -67,9 +68,11 @@ def test_second_preset_shape(second):
 
 
 def test_second_preset_standard_numerics(second):
-    assert sorted(second.standard_numerics) == ["b", "u", "v"]
-    for mat in second.standard_numerics.values():
+    numerics = second.numerics()
+    assert len(numerics) == 3
+    for mat, name in zip(numerics, ("b", "u", "v")):
         assert unitarity_residual(mat) < 1e-9
+        assert unitarity_residual(second.matrices[name].numeric) > 1e-3
 
 
 def _products(lattice):

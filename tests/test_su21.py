@@ -3,23 +3,26 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from latcover.exactnum import CycloElt, zeta
+from latcover.pathlift import (
+    IwasawaCoords,
+    Z0,
+    homog_project,
+    iwasawa,
+    standard_form_conjugator,
+    unitarity_residual,
+)
 from latcover.presets import (Lattice, WordProducts, central_power,
                               dm_lattice)
 from latcover.su21 import (
     GroupMatrix,
     HermitianForm,
-    IwasawaCoords,
-    Z0,
     _numeric_from_exact,
     check_unitary,
-    homog_project,
-    iwasawa,
     parse_matrix_file,
     scale_to_su,
-    standard_form_conjugator,
-    unitarity_residual,
 )
 
 from helpers_latcover import picard_presentation, serialize_matrix_file
@@ -73,6 +76,45 @@ def test_form_rejects_non_hermitian():
 def test_form_rejects_wrong_signature():
     with pytest.raises(ValueError, match="signature"):
         HermitianForm(_mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def _cyclo(n, coeffs):
+    out = CycloElt.zero(n)
+    for k, c in enumerate(coeffs):
+        out = out + zeta(n, k) * c
+    return out
+
+
+def _hermitian(n, diag, offs):
+    """Diagonal integers, then the entries (0,1), (0,2), (1,2) as integer
+    combinations of the powers of zeta_n, mirrored conjugated below."""
+    entries = [[CycloElt.rational(d) if i == j else None
+                for j, d in enumerate(diag)] for i in range(3)]
+    for (i, j), coeffs in zip(((0, 1), (0, 2), (1, 2)), offs):
+        entries[i][j] = _cyclo(n, coeffs)
+        entries[j][i] = entries[i][j].conjugate()
+    return tuple(tuple(row) for row in entries)
+
+
+_forms = st.sampled_from([1, 3, 4, 6, 12]).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+    st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+             min_size=3, max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forms)
+def test_exact_signature_matches_numeric_eigenvalues(form):
+    matrix = _hermitian(*form)
+    eigs = np.linalg.eigvalsh(_numeric_from_exact(matrix))
+    assume(np.min(np.abs(eigs)) >= 1e-6)
+    try:
+        HermitianForm(matrix)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc).startswith("form does not have signature (2,1)")
+        accepted = False
+    assert accepted == (eigs[0] < 0 < eigs[1])
 
 
 # ---------------------------------------------------------------- unitarity
@@ -176,15 +218,18 @@ def test_numeric_view_is_embedded_once_on_read(monkeypatch):
     second = lattice.numerics()
     assert len(calls) == 3
     assert all(x is y for x, y in zip(first, second))
-    # a custom form: matrices.txt embeds the form once (form.txt is compared
-    # entry by entry), and the conjugation to the standard form reads each
-    # generator's view once
+    # a custom form: loading and verifying embeds nothing; the first
+    # numerics() call embeds the form and each generator once, to conjugate
+    # them to the standard form, and keeps the result
     calls.clear()
     custom = dm_lattice("dm-11-7-2-2-2-12")
+    assert calls == []
+    first = custom.numerics()
+    assert calls == [custom.matrices[g].exact
+                     for g in custom.presentation.gens] + [custom.form.matrix]
+    second = custom.numerics()
     assert len(calls) == 4
-    custom.numerics()
-    custom.numerics()
-    assert len(calls) == 4
+    assert all(x is y for x, y in zip(first, second))
 
 
 def test_powers_match_repeated_products():
