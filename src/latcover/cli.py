@@ -16,19 +16,17 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
-import mpmath
-
 from .exactnum import embed_complex
 from .fpgroups import (EnumerationLimit, Word, format_word, parse_word,
                        schreier_system, serialize_presentation, tietze_reduce,
                        todd_coxeter)
-from .nq2 import (class2_quotient, rf_certificate, subgroup_abelianization,
-                  subgroup_class2)
 from .presets import (Lattice, LatticePreset, dm_lattice, file_lattice,
                       preset_ids, read_words, verify_preset)
 from .su21 import GroupMatrix
 
-# only lift, winding and certify import `pathlift`, and with it numpy
+# a command imports what only it needs: lift, winding and certify import
+# `pathlift`, and with it numpy; nq2, abelian --subgroup and certify import
+# `nq2`; verify and every embedding (lift, winding, certify) import mpmath
 if TYPE_CHECKING:
     from .pathlift import LiftedPresentation
 
@@ -170,6 +168,7 @@ def cmd_winding(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
 
 
 def _residual_at_bits(mat: GroupMatrix, bits: int) -> float:
+    import mpmath
     roots: dict = {}  # shared by the entries of the matrix and the form
     with mpmath.workprec(bits + 16):
         entries, form = ([[embed_complex(e, bits, roots) for e in row]
@@ -234,6 +233,7 @@ def cmd_subpres(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
 def cmd_abelian(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
     pres = lattice.presentation
     if subgroup:
+        from .nq2 import subgroup_abelianization
         table = todd_coxeter(pres, subgroup, max_cosets=args.max_cosets)
         inv = subgroup_abelianization(table, pres)
     else:
@@ -242,6 +242,7 @@ def cmd_abelian(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
 
 
 def cmd_nq2(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
+    from .nq2 import class2_quotient, subgroup_class2
     pres = lattice.presentation
     if subgroup:
         table = todd_coxeter(pres, subgroup, max_cosets=args.max_cosets)
@@ -256,6 +257,7 @@ def cmd_nq2(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
 
 
 def cmd_certify(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
+    from .nq2 import rf_certificate
     cert = rf_certificate(_lift(lattice, args.samples), subgroup,
                           max_cosets=args.max_cosets)
     return cert.report(), EXIT_OK if cert.success else EXIT_INCONCLUSIVE

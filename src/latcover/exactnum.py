@@ -5,8 +5,10 @@ Phi_N: phi(N) integer numerators over one common positive denominator, in
 lowest terms.  Phi_N is monic with integer coefficients, so reduction and
 products run on integers only; `coeffs` gives the `fractions.Fraction` view.
 `embed_complex` maps an element to one mpmath complex point, summed with 16
-guard bits over the requested precision; it is the only way exact values
-reach the numerical layers.
+guard bits over the requested precision. It imports mpmath on its first
+call, so exact arithmetic alone never loads it. It is the one embedding at
+96 bits or more; `su21` reads a real element's sign from a double sum with
+an explicit error margin first, and embeds only when that margin fails.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 
 def _poly_div_exact_int(num: list, den: list) -> list:
@@ -286,6 +289,7 @@ def embed_complex(a: CycloElt, bits: int = 128,
                   roots: Optional[dict] = None) -> mpmath.mpc:
     """Image of a under zeta_n -> exp(2*pi*i/n), summed at bits + 16 bits;
     `roots` memoises each zeta_n^k across the calls at one `bits` sharing it."""
+    import mpmath
     if bits < 53:
         raise ValueError(f"need at least 53 bits, got {bits}")
     roots = {} if roots is None else roots

@@ -4,7 +4,6 @@ the order of a central generator in such a quotient."""
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -491,6 +490,7 @@ def rf_certificate(lp, subgroup_words: Optional[Sequence[Word]] = None,
     """Test the central generator's order in the class-2 quotient of the
     whole lifted group (subgroup_words None) or of the full preimage of a
     finite-index subgroup given by words over the base generators."""
+    import hashlib
     payload = serialize_presentation(lp.to_presentation())
     subgroup = None
     if subgroup_words is None:

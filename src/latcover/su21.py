@@ -1,10 +1,14 @@
 """Exact matrix layer for SU(2,1): hermitian forms with an exact signature
 test, exact products and unitarity checks, determinant scaling, and the
-matrix fixture format. numpy is imported only to embed a complex view on its
-first read; the numeric geometry lives in `pathlift`."""
+matrix fixture format. A form's signature rests on the signs of three real
+elements: zero and rationals are read exactly, the rest from doubles with an
+explicit margin, and `embed_complex` decides only what that margin leaves
+open. numpy and mpmath are otherwise imported only to embed a complex view on
+its first read; the numeric geometry lives in `pathlift`."""
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .exactnum import (CycloElt, dot, embed_complex, parse_cyclo, to_literal,
@@ -79,9 +83,24 @@ def _numeric_from_exact(a: ExactMatrix, bits: int = DEFAULT_EMBED_BITS) -> np.nd
 
 
 def _sign(x: CycloElt) -> int:
-    """Sign of a real element: exactly 0 or read from its embedding."""
-    if not x:
-        return 0
+    """Sign of a real element x = sum_k num_k zeta_n^k / den (den > 0).
+
+    Zero is decided exactly, and so is a rational x. Otherwise
+    S = fsum(num_k cos(2 pi k/n)) is read in doubles: each term is off by at
+    most about |num_k| 2^-48 (the angle and the cosine in doubles), so
+    |S| > 2^-40 sum_k |num_k|, over 100 times that error, fixes the sign.
+    When the margin does not, or a numerator does not fit a double, the sign
+    is read from the embedding at DEFAULT_EMBED_BITS."""
+    num = x.num
+    if not any(num[1:]):
+        return (num[0] > 0) - (num[0] < 0)
+    try:
+        s = math.fsum(c * math.cos(2 * math.pi * k / x.n)
+                      for k, c in enumerate(num))
+        if abs(s) > 2.0 ** -40 * sum(map(abs, num)):
+            return 1 if s > 0 else -1
+    except OverflowError:
+        pass
     return 1 if embed_complex(x, DEFAULT_EMBED_BITS).real > 0 else -1
 
 

@@ -756,6 +756,70 @@ def test_group_theory_commands_never_import_numpy(tmp_path):
     assert results == [[argv[0], 0, argv[0] == "lift"] for argv in runs]
 
 
+# set-up as the benchmark times it, then each command, with what it loaded
+_IMPORT_SURFACE_SCRIPT = """\
+import contextlib, io, json, sys
+import latcover.cli
+from latcover.presets import dm_lattice
+dm_lattice("dm-5-4-1-1-1-6")
+dm_lattice("dm-11-7-2-2-2-12")
+print(json.dumps([m for m in ("numpy", "mpmath", "latcover.nq2", "hashlib",
+                              "latcover.pathlift") if m in sys.modules]))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = latcover.cli.main(argv)
+    print(json.dumps([argv[0], rc] + [m in sys.modules for m in (
+        "mpmath", "latcover.nq2", "hashlib")]))
+"""
+
+
+def test_set_up_and_exact_commands_import_neither_mpmath_nor_nq2(tmp_path):
+    import json
+    import os
+    import subprocess
+    import sys
+    import latcover
+    whole = tmp_path / "whole.words"
+    whole.write_text("b\nu\nv\n")
+    root = _presets_root() / PRESET2
+    inputs = [["--preset", PRESET1], ["--preset", PRESET2],
+              ["--pres", str(root / "presentation.txt"),
+               "--matrices", str(root / "matrices.txt")]]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(latcover.__file__).resolve().parents[1]))
+
+    def loaded(runs):
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_SURFACE_SCRIPT, json.dumps(runs)],
+            env=env, capture_output=True, text=True, check=True, timeout=300)
+        lines = [json.loads(line) for line in done.stdout.splitlines()]
+        assert lines[0] == []  # after set-up
+        return [tuple(line) for line in lines[1:]]
+
+    # the group-theory commands never import mpmath; nq2 loads with the
+    # first command that reads a class-2 quotient or a subgroup's invariants,
+    # and hashlib only with a certificate
+    exact = [[cmd, *lattice, "--subgroup", str(whole)]
+             for lattice in inputs for cmd in ("cosets", "subpres")]
+    exact += [["cosets", "--preset", PRESET1, "--subgroup", "hirzebruch"],
+              ["subpres", "--preset", PRESET1, "--subgroup", "hirzebruch"]]
+    quotients = [["abelian", *lattice] for lattice in inputs]
+    quotients += [argv for lattice in inputs for argv in (
+        ["abelian", *lattice, "--subgroup", str(whole)], ["nq2", *lattice])]
+    assert loaded(exact + quotients) == (
+        [(argv[0], 0, False, False, False) for argv in exact + quotients[:3]]
+        + [(argv[0], 0, False, True, False) for argv in quotients[3:]])
+    # the numeric commands import mpmath, and none but certify nq2
+    numeric = [["cosets", "--preset", PRESET2, "--subgroup", str(whole)],
+               ["verify", "--preset", PRESET1], ["verify", "--preset", PRESET2]]
+    numeric += [["lift", *lattice] for lattice in inputs]
+    numeric += [["winding", *lattice, "--word", "b^9"] for lattice in inputs]
+    assert loaded(numeric + [["certify", "--preset", PRESET1]]) == (
+        [("cosets", 0, False, False, False)]
+        + [(argv[0], 0, True, False, False) for argv in numeric[1:]]
+        + [("certify", 1, True, True, True)])
+
+
 def test_zero_denominator_in_matrix_file_exits_2(capsys, tmp_path,
                                                  preset1_dir):
     lines = (preset1_dir / "matrices.txt").read_text().splitlines()

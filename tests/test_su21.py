@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from latcover.exactnum import CycloElt, zeta
+from latcover.exactnum import CycloElt, embed_complex, zeta
 from latcover.pathlift import (
     IwasawaCoords,
     Z0,
@@ -17,9 +17,11 @@ from latcover.pathlift import (
 from latcover.presets import (Lattice, WordProducts, central_power,
                               dm_lattice)
 from latcover.su21 import (
+    DEFAULT_EMBED_BITS,
     GroupMatrix,
     HermitianForm,
     _numeric_from_exact,
+    _sign,
     check_unitary,
     parse_matrix_file,
     scale_to_su,
@@ -115,6 +117,63 @@ def test_exact_signature_matches_numeric_eigenvalues(form):
         assert str(exc).startswith("form does not have signature (2,1)")
         accepted = False
     assert accepted == (eigs[0] < 0 < eigs[1])
+
+
+def _counting_embeddings(monkeypatch):
+    """Count the embeddings that su21 asks for."""
+    import latcover.su21 as su21
+    calls = []
+    embed = su21.embed_complex
+
+    def counting(a, *args):
+        calls.append(a)
+        return embed(a, *args)
+
+    monkeypatch.setattr(su21, "embed_complex", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 8, 9, 12, 15, 20, 24])
+def test_sign_matches_the_96_bit_embedding(n, monkeypatch):
+    calls = _counting_embeddings(monkeypatch)
+    rng = random.Random(n)
+    for _ in range(200):
+        y = _cyclo(n, [rng.randint(-9, 9) for _ in range(n)])
+        x = (y + y.conjugate()) / rng.randint(1, 7)
+        value = embed_complex(x, DEFAULT_EMBED_BITS).real
+        assert _sign(x) == (0 if not x else 1 if value > 0 else -1)
+    assert calls == []  # the double read decided every one
+
+
+def test_sign_too_close_to_zero_for_doubles_reads_the_embedding(monkeypatch):
+    calls = _counting_embeddings(monkeypatch)
+    sqrt3 = 2 * zeta(12) - zeta(12, 3)
+    tiny = (2 - sqrt3) ** 12  # p - q sqrt3, about 1.4e-7, with p near 3.6e6
+    assert tiny.num[1] and not tiny.num[2]
+    assert _sign(tiny) == 1 and _sign(-tiny) == -1
+    assert len(calls) == 2
+    assert _sign(tiny + 1) == 1 and len(calls) == 2
+
+
+def test_sign_of_numerators_beyond_doubles_reads_the_embedding(monkeypatch):
+    calls = _counting_embeddings(monkeypatch)
+    x = (1 + 2 * zeta(12) - zeta(12, 3)) * 10 ** 400  # 10^400 (1 + sqrt3)
+    assert _sign(x) == 1 and _sign(-x) == -1
+    assert len(calls) == 2
+
+
+def test_sign_of_a_rational_is_exact(monkeypatch):
+    calls = _counting_embeddings(monkeypatch)
+    assert [_sign(CycloElt.rational(q, 12)) for q in (10 ** 400, -3, 0)] == [
+        1, -1, 0]
+    assert calls == []
+
+
+def test_loading_the_presets_embeds_nothing(monkeypatch):
+    calls = _counting_embeddings(monkeypatch)
+    for preset in ("dm-5-4-1-1-1-6", "dm-11-7-2-2-2-12"):
+        dm_lattice(preset)
+    assert calls == []
 
 
 # ---------------------------------------------------------------- unitarity
