@@ -333,10 +333,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except EnumerationLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except (ValueError, ArithmeticError, AssertionError) as exc:
+    except (EnumerationLimit, ValueError, ArithmeticError,
+            AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     try:

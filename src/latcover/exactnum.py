@@ -9,6 +9,8 @@ guard bits over the requested precision. It imports mpmath on its first
 call, so exact arithmetic alone never loads it. It is the one embedding at
 96 bits or more; `su21` reads a real element's sign from a double sum with
 an explicit error margin first, and embeds only when that margin fails.
+`parse_cyclo` reads a literal term by term with one regex, in time linear in
+its length.
 """
 
 from __future__ import annotations
@@ -304,94 +306,43 @@ def embed_complex(a: CycloElt, bits: int = 128,
         return value
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<z>z\d+)"
-                    r"|(?P<pow>\^-?\d+)|(?P<op>[+\-*]))")
-
-
-def _tokenize(text: str) -> list:
-    pos, tokens = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"bad cyclotomic literal near {text[pos:pos+12]!r}")
-        pos = m.end()
-        if m.group("rat") is not None:
-            try:
-                tokens.append(("rat", Fraction(m.group("rat"))))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {text!r}") from None
-        elif m.group("z") is not None:
-            tokens.append(("z", int(m.group("z")[1:])))
-        elif m.group("pow") is not None:
-            tokens.append(("pow", int(m.group("pow")[1:])))
-        else:
-            tokens.append(("op", m.group("op")))
-    return tokens
+# One term of a literal: a sign, then "rat", "rat*zN[^k]" or "zN[^k]". The
+# sign is "(?:([+-])\s*)?", never "([+-]?)\s*": with no sign, that form puts
+# the leading \s* beside the next one, which backtracks quadratically over a
+# long blank run before a bad character.
+_TERM = re.compile(r"\s*(?:([+-])\s*)?(?:(?:(\d+(?:/\d+)?)\s*\*\s*)?"
+                   r"(z\d+)(?:\s*\^(-?\d+))?|(\d+(?:/\d+)?))")
 
 
 def parse_cyclo(text: str, conductor: int) -> CycloElt:
     """Parse a cyclotomic literal like '1/2*z12^2 - 1' at a fixed conductor.
 
-    Terms are rational constants, optionally times zN or zN^k (a bare zN^k is
-    also accepted); the zN token must match the declared conductor.
+    A literal is a signed sum of terms `rat`, `rat*zN[^k]` or `zN[^k]`; every
+    term after the first needs its sign, and zN must name the declared
+    conductor.
     """
-    tokens = _tokenize(text)
-    i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else (None, None)
-
-    def take_zpart() -> int:
-        nonlocal i
-        kind, val = tokens[i]
-        if val != conductor:
-            raise ValueError(
-                f"literal uses z{val} but the declared conductor is {conductor}")
-        i += 1
-        if peek()[0] == "pow":
-            exp = tokens[i][1]
-            i += 1
-            return exp
-        return 1
-
-    def take_term() -> Tuple[Fraction, int]:
-        nonlocal i
-        kind, val = peek()
-        if kind == "rat":
-            i += 1
-            if peek() == ("op", "*"):
-                i += 1
-                if peek()[0] != "z":
-                    raise ValueError(f"expected z-term after '*' in {text!r}")
-                return val, take_zpart()
-            return val, 0
-        if kind == "z":
-            return Fraction(1), take_zpart()
-        raise ValueError(f"expected a term in {text!r}")
-
-    terms = []
-    sign = 1
-    kind, val = peek()
-    if kind == "op" and val in "+-":
-        sign = -1 if val == "-" else 1
-        i += 1
-    coeff, exp = take_term()
-    terms.append((sign * coeff, exp))
-    while i < len(tokens):
-        kind, val = peek()
-        if kind != "op" or val not in "+-":
-            raise ValueError(f"expected '+' or '-' in {text!r}")
-        i += 1
-        coeff, exp = take_term()
-        terms.append((-coeff if val == "-" else coeff, exp))
-
     cyclotomic_polynomial(conductor)  # ValueError unless conductor >= 1
-    den = lcm(*(c.denominator for c, _ in terms))
+    terms = []  # (numerator, denominator, power of zeta)
+    pos, end = 0, len(text.rstrip())
+    while pos < end or pos == 0:
+        m = _TERM.match(text, pos)
+        if not m or (pos and not m.group(1)):
+            raise ValueError(f"bad cyclotomic literal near {text[pos:pos+12]!r}")
+        sign, rat, z, power, bare = m.groups()
+        if z and int(z[1:]) != conductor:
+            raise ValueError(f"literal uses z{int(z[1:])} but the declared "
+                             f"conductor is {conductor}")
+        p, _, q = (rat or bare or "1").partition("/")
+        q = int(q or 1)
+        if not q:
+            raise ValueError(f"zero denominator in {text!r}")
+        terms.append((-int(p) if sign == "-" else int(p), q,
+                      int(power or 1) if z else 0))
+        pos = m.end()
+    den = lcm(*(q for _, q, _ in terms))
     num = [0] * conductor
-    for c, exp in terms:
-        num[exp % conductor] += c.numerator * den // c.denominator
+    for p, q, k in terms:
+        num[k % conductor] += p * (den // q)
     return CycloElt._of(conductor, num, den)
 
 

@@ -279,17 +279,11 @@ class RelatorPath:
     def __init__(self, s: np.ndarray, values: np.ndarray):
         self.s = s
         self.values = values
-        if abs(values[0] - 1.0) > 1e-12:
-            raise ValueError("path must start at 1")
         moduli = np.abs(values)
         if float(moduli.min()) <= MODULUS_FLOOR:
             raise ValueError(f"projection modulus {moduli.min():.3e} at "
                              f"s={s[int(moduli.argmin())]:.6f} breaks the "
                              "nonvanishing guarantee")
-        steps = np.abs(np.angle(values[1:] / values[:-1]))
-        if steps.size and float(steps.max()) >= ARG_STEP_LIMIT:
-            raise ValueError("consecutive samples differ in argument by "
-                             f"{steps.max():.3f} >= pi/2")
 
     @property
     def endpoint(self) -> complex:

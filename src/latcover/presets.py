@@ -14,23 +14,20 @@ from .exactnum import zeta
 from .fpgroups import (Presentation, Word, braid_relator, parse_presentation,
                        format_word)
 from .su21 import (GroupMatrix, HermitianForm, check_unitary,
-                   parse_matrix_entries, parse_matrix_file, scale_to_su)
+                   parse_matrix_file, scale_to_su)
 
 if TYPE_CHECKING:
     import numpy as np
     from .pathlift import LiftedPresentation
 
-_CANONICAL = {
-    "dm-5-4-1-1-1-6": "dm-5-4-1-1-1-6",
-    "(5,4,1,1,1)/6": "dm-5-4-1-1-1-6",
-    "dm-11-7-2-2-2-12": "dm-11-7-2-2-2-12",
-    "(11,7,2,2,2)/12": "dm-11-7-2-2-2-12",
-}
-
 _LABELS = {
     "dm-5-4-1-1-1-6": "(5,4,1,1,1)/6",
     "dm-11-7-2-2-2-12": "(11,7,2,2,2)/12",
 }
+
+# each preset by its directory id or its weight label
+_CANONICAL = {key: name for name, label in _LABELS.items()
+              for key in (name, label)}
 
 EXPECTED_POWERS = (2, 2, 2, 0, 0, 0, 0)
 
@@ -258,15 +255,6 @@ def verify_preset(preset: LatticePreset) -> List[Tuple[str, int]]:
     return results
 
 
-def _load_form_file(text: str, matrices_form: HermitianForm,
-                    name: str) -> None:
-    entries, extra = parse_matrix_entries(text)
-    if extra:
-        raise ValueError(f"form.txt of preset {name} must not define matrices")
-    if entries != matrices_form.matrix:
-        raise ValueError(f"form.txt and matrices.txt disagree in preset {name}")
-
-
 def dm_lattice(preset_id: str) -> LatticePreset:
     """Load, scale, and verify a bundled preset by directory id or weight label."""
     name = _CANONICAL.get(preset_id)
@@ -294,7 +282,6 @@ def dm_lattice(preset_id: str) -> LatticePreset:
                          f"triangle-lattice template with orders ({r1}, {r2})")
 
     form, unscaled = parse_matrix_file((root / "matrices.txt").read_text())
-    _load_form_file((root / "form.txt").read_text(), form, name)
     if sorted(unscaled) != sorted(presentation.gens):
         raise ValueError(f"preset {name}: matrix names {sorted(unscaled)} do "
                          f"not match generators {presentation.gens}")

@@ -19,6 +19,12 @@ if TYPE_CHECKING:
 
 DEFAULT_EMBED_BITS = 96
 
+# Largest conductor a matrix file may declare. Scaling into SU works at up to
+# six times it, and one CycloElt.inv takes 0.03 s at conductor 360 and 0.2 s
+# at 720 (2-core Xeon), so 120 keeps that under a second. Far larger headers
+# only hang the loader: building Phi_n alone takes seconds at n = 100000.
+MAX_CONDUCTOR = 120
+
 ExactMatrix = Tuple[Tuple[CycloElt, ...], ...]
 
 
@@ -240,14 +246,14 @@ def scale_to_su(g: GroupMatrix) -> GroupMatrix:
 # ---------------------------------------------------------------- fixture files
 
 
-def parse_matrix_entries(text: str
-                         ) -> Tuple[ExactMatrix, Dict[str, ExactMatrix]]:
-    """Parse the matrix fixture format into exact entries: the form's and
-    each named matrix's, nothing embedded or checked.
+def parse_matrix_file(text: str) -> Tuple[HermitianForm, Dict[str, GroupMatrix]]:
+    """Parse the matrix fixture format into a checked form and its group
+    matrices.
 
-    Header: `conductor N`, then `form standard` or `form custom` followed by
-    nine cyclotomic literal lines, then `matrix <name>` blocks each with nine
-    literal lines in row-major order. `#` starts a comment.
+    Header: `conductor N` with 1 <= N <= MAX_CONDUCTOR, then `form standard`
+    or `form custom` followed by nine cyclotomic literal lines, then
+    `matrix <name>` blocks each with nine literal lines in row-major order.
+    `#` starts a comment.
     """
     lines = []
     for raw in text.splitlines():
@@ -268,6 +274,8 @@ def parse_matrix_entries(text: str
     if not header.startswith("conductor "):
         raise ValueError(f"expected 'conductor N' header, got {header!r}")
     conductor = int(header.split()[1])
+    if not 1 <= conductor <= MAX_CONDUCTOR:
+        raise ValueError(f"conductor {conductor} is outside 1..{MAX_CONDUCTOR}")
 
     def take_entries() -> ExactMatrix:
         entries = [parse_cyclo(take(), conductor) for _ in range(9)]
@@ -278,9 +286,9 @@ def parse_matrix_entries(text: str
         raise ValueError(f"expected 'form <name>' line, got {form_line!r}")
     form_name = form_line.split()[1]
     if form_name == "standard":
-        form = _exact_standard_form()
+        entries = _exact_standard_form()
     elif form_name == "custom":
-        form = take_entries()
+        entries = take_entries()
     else:
         raise ValueError(f"unknown form {form_name!r}")
 
@@ -293,12 +301,5 @@ def parse_matrix_entries(text: str
         if name in matrices:
             raise ValueError(f"duplicate matrix name {name!r}")
         matrices[name] = take_entries()
-    return form, matrices
-
-
-def parse_matrix_file(text: str) -> Tuple[HermitianForm, Dict[str, GroupMatrix]]:
-    """Parse the matrix fixture format (see `parse_matrix_entries`) into a
-    checked form and its group matrices."""
-    entries, raw = parse_matrix_entries(text)
     form = HermitianForm(entries)
-    return form, {name: GroupMatrix(form, m) for name, m in raw.items()}
+    return form, {name: GroupMatrix(form, m) for name, m in matrices.items()}

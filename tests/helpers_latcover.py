@@ -169,7 +169,7 @@ class TransformNQ2:
 
 
 def serialize_matrix_file(conductor, form, matrices):
-    """The matrix fixture text (see `su21.parse_matrix_entries`) of a form
+    """The matrix fixture text (see `su21.parse_matrix_file`) of a form
     and named group matrices, entries written over the given conductor."""
     def literal(e):
         return to_literal(e.promote(conductor))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from latcover.cli import main
+from latcover.su21 import MAX_CONDUCTOR
 
 PRESET1 = "dm-5-4-1-1-1-6"
 PRESET2 = "dm-11-7-2-2-2-12"
@@ -715,6 +716,24 @@ def test_form_signature_decides_the_exit_code(capsys, tmp_path, form, rc):
         assert err.startswith("error: form does not have signature (2,1)")
     else:
         assert out == "abelianization: Z/2\n"
+
+
+@pytest.mark.parametrize("conductor, rc", [
+    (MAX_CONDUCTOR, 0), (MAX_CONDUCTOR + 1, 2), (1000000, 2)])
+def test_conductor_bound_decides_the_exit_code(capsys, tmp_path, conductor,
+                                               rc):
+    (tmp_path / "p.txt").write_text("generators: g\ng^2\n")
+    (tmp_path / "m.txt").write_text("\n".join(
+        [f"conductor {conductor}", "form standard", "matrix g"] + _IDENTITY)
+        + "\n")
+    got, out, err = run(capsys, "cosets", "--pres", str(tmp_path / "p.txt"),
+                        "--matrices", str(tmp_path / "m.txt"))
+    assert got == rc
+    if rc:
+        assert out == ""
+        assert err.startswith(f"error: conductor {conductor} is outside")
+    else:
+        assert out.startswith("index: 2\n")
 
 
 _NO_NUMPY_SCRIPT = """\

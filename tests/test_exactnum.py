@@ -1,5 +1,6 @@
 """Tests for exact cyclotomic arithmetic and its complex embedding."""
 
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -140,6 +141,11 @@ def test_parse_basic():
     assert parse_cyclo("0", 6).is_zero
     assert parse_cyclo("z12^11 + z12", 12) == zeta(12, 11) + zeta(12)
     assert parse_cyclo("1/3 - 2/3*z6", 6) == (1 - 2 * zeta(6)) / 3
+    assert parse_cyclo("z6 ^2", 6) == zeta(6, 2)
+    assert parse_cyclo("- 1", 6) == -1
+    assert parse_cyclo("+z6", 6) == zeta(6)
+    assert parse_cyclo("z6^-1", 6) == zeta(6, 5)
+    assert parse_cyclo("1/2 * z6", 6) == zeta(6) / 2
 
 
 def test_parse_conductor_mismatch():
@@ -148,9 +154,15 @@ def test_parse_conductor_mismatch():
 
 
 def test_parse_garbage():
-    for bad in ("", "1 +", "* z6", "z6 z6", "q", "1.5"):
+    # a term regex that backtracks quadratically spends ~20 s on these blanks
+    blanks = " " * 20000
+    start = time.perf_counter()
+    for bad in ("", "1 +", "* z6", "z6 z6", "q", "1.5", "2z6", "2 z6",
+                "z6^ 2", "1 - - 2", "2*3", "z6^2*3", "1 /2", "   ",
+                "1 +" + blanks + "q", "1" + blanks + "q"):
         with pytest.raises(ValueError):
             parse_cyclo(bad, 6)
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("text", ["1/0", "z6 - 3/00*z6", "-2/0*z6^2"])

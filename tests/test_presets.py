@@ -15,6 +15,8 @@ from latcover.su21 import GroupMatrix, check_unitary
 
 from helpers_latcover import reference_central_power
 
+_BUNDLED = Path(__file__).resolve().parents[1] / "src" / "latcover" / "presets"
+
 
 @pytest.fixture(scope="module")
 def first():
@@ -28,6 +30,15 @@ def second():
 
 def test_preset_ids():
     assert preset_ids() == ["dm-11-7-2-2-2-12", "dm-5-4-1-1-1-6"]
+
+
+def test_preset_directories_hold_only_what_the_loader_reads():
+    assert sorted(p.name for p in _BUNDLED.iterdir()) == preset_ids()
+    for name in preset_ids():
+        entries = {p.name for p in (_BUNDLED / name).iterdir()}
+        assert entries - {"subgroups"} == {"presentation.txt", "matrices.txt"}
+        assert "subgroups" not in entries or (
+            _BUNDLED / name / "subgroups").is_dir()
 
 
 def test_weight_labels_are_aliases(first):
@@ -154,9 +165,8 @@ def test_verify_powers_second(second):
 
 
 def _copy_preset(tmp_path: Path, name: str) -> Path:
-    src = Path(__file__).resolve().parents[1] / "src" / "latcover" / "presets"
     root = tmp_path / "presets"
-    shutil.copytree(src / name, root / name)
+    shutil.copytree(_BUNDLED / name, root / name)
     return root
 
 
@@ -178,17 +188,6 @@ def test_corrupted_presentation_fails_loudly(tmp_path, monkeypatch):
     monkeypatch.setenv("LATCOVER_PRESETS", str(root))
     with pytest.raises(ValueError, match="central"):
         dm_lattice("dm-5-4-1-1-1-6")
-
-
-def test_form_file_mismatch_fails_loudly(tmp_path, monkeypatch):
-    root = _copy_preset(tmp_path, "dm-11-7-2-2-2-12")
-    path = root / "dm-11-7-2-2-2-12" / "form.txt"
-    text = path.read_text()
-    assert text.count("-1 + 2*z12 - z12^3") == 1
-    path.write_text(text.replace("-1 + 2*z12 - z12^3", "1 + 2*z12 - z12^3"))
-    monkeypatch.setenv("LATCOVER_PRESETS", str(root))
-    with pytest.raises(ValueError, match="disagree"):
-        dm_lattice("dm-11-7-2-2-2-12")
 
 
 @pytest.mark.parametrize("rewrite, message", [

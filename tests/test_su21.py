@@ -451,6 +451,8 @@ def test_matrix_file_custom_form():
 def test_matrix_file_errors():
     with pytest.raises(ValueError, match="conductor"):
         parse_matrix_file("form standard\n")
+    with pytest.raises(ValueError, match="outside"):
+        parse_matrix_file("conductor 0\nform standard\n")
     with pytest.raises(ValueError, match="form"):
         parse_matrix_file("conductor 6\nmatrix b\n")
     with pytest.raises(ValueError, match="unknown form"):
