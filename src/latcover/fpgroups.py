@@ -444,12 +444,13 @@ class SchreierSystem:
                         start)
 
 
-def schreier_system(table: CosetTable, pres: Presentation) -> SchreierSystem:
-    """Build the Reidemeister-Schreier presentation of the subgroup whose
-    cosets the table enumerates, with rewriting data."""
+def _schreier_tree(table: CosetTable
+                   ) -> Tuple[Dict[Tuple[int, int], int], List[Word]]:
+    """Breadth-first Schreier tree from coset 0: the index of each Schreier
+    generator, an edge (coset, gen) off the tree, numbered coset by coset,
+    and the transversal."""
     ncols = 2 * table.ngens
-    # breadth-first Schreier tree from coset 0; geometric edges normalized to
-    # their generator-column orientation (coset, gen)
+    # geometric edges normalized to their generator-column orientation
     tree: set = set()
     transversal: List[Optional[Word]] = [None] * table.index
     transversal[0] = Word()
@@ -468,13 +469,20 @@ def schreier_system(table: CosetTable, pres: Presentation) -> SchreierSystem:
     if any(t is None for t in transversal):
         raise ValueError("coset table is not connected")
     edge_index: Dict[Tuple[int, int], int] = {}
-    names = []
     for alpha in range(table.index):
         for g in range(table.ngens):
             edge = (alpha, g)
             if edge not in tree:
-                edge_index[edge] = len(names)
-                names.append(f"s{len(names)}")
+                edge_index[edge] = len(edge_index)
+    return edge_index, transversal
+
+
+def schreier_system(table: CosetTable, pres: Presentation) -> SchreierSystem:
+    """Build the Reidemeister-Schreier presentation of the subgroup whose
+    cosets the table enumerates, with rewriting data: every relator
+    rewritten from every coset."""
+    edge_index, transversal = _schreier_tree(table)
+    names = [f"s{i}" for i in range(len(edge_index))]
     paths = [rel.columns() for rel in pres.relators]
     relators = [_rewrite(table.table, edge_index, path, alpha)
                 for alpha in range(table.index) for path in paths]

@@ -40,10 +40,27 @@ class AbelianInvariants:
         return " x ".join(parts) if parts else "trivial"
 
 
+# rows folded into the running Hermite basis per pass
+HNF_CHUNK = 64
+
+
 def hnf(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     """Nonzero rows of the row-style Hermite normal form: positive pivots,
     entries above each pivot reduced into [0, pivot).  They are the
-    canonical basis of the lattice the rows span."""
+    canonical basis of the lattice the rows span.
+
+    The rows are folded into the running basis HNF_CHUNK at a time, so a
+    pass clears columns across at most rank + HNF_CHUNK rows rather than
+    across every row of a tall input; the form is canonical, so the result
+    is that of one pass."""
+    basis: List[List[int]] = []
+    for start in range(0, len(rows), HNF_CHUNK):
+        basis = _hnf_pass([*basis, *rows[start:start + HNF_CHUNK]])
+    return basis
+
+
+def _hnf_pass(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """`hnf` of the rows in one elimination."""
     work = [list(row) for row in rows]
     nrows = len(work)
     width = len(work[0]) if work else 0

@@ -7,8 +7,9 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fpgroups import (CosetTable, Presentation, Word, format_word,
-                       schreier_system, serialize_presentation, todd_coxeter)
+from .fpgroups import (CosetTable, Presentation, Word, _rewrite,
+                       _schreier_tree, format_word, serialize_presentation,
+                       todd_coxeter)
 from .intlinalg import (AbelianInvariants, hnf, quotient_invariants,
                         saturation_order)
 
@@ -183,10 +184,15 @@ class NQ2:
                 if top is None:
                     pivots[c] = elt if elt.a[c] > 0 else elt.inv()
                     break
-                # the remainder has a zero here and goes on to later columns
+                # reduce the image by the pivot first; only a nonzero
+                # remainder needs Euclid steps.  The remainder left has a
+                # zero here and goes on to later columns
+                q = elt.a[c] // top.a[c]
+                if q:
+                    elt = elt.times_power(top, -q)
                 while elt.a[c]:
                     top, elt = elt, top.times_power(elt, -(top.a[c] // elt.a[c]))
-                pivots[c] = top if top.a[c] > 0 else top.inv()
+                pivots[c] = top
             else:
                 if any(elt.m):
                     center_rows.append(list(elt.m))
@@ -252,7 +258,10 @@ def class2_quotient(pres: Presentation) -> NQ2:
 # ch. 11) leaves the surviving columns D; every eliminated generator's image
 # in the free class-2 group on D follows by back-substitution, because the
 # m-part of a product is the sum of its factors' m-parts weighted by their
-# exponent sums, plus a constant that depends on the a-parts alone.
+# exponent sums, plus a constant that depends on the a-parts alone.  Of the
+# Schreier relators of a power w^k only one per <w>-orbit of cosets is kept:
+# the others are its conjugates, so they change neither the rows' lattice
+# nor the normal closure.
 
 
 def _unit_elimination(rows: List[Dict[int, int]], frozen: Optional[int]
@@ -313,28 +322,62 @@ def _unit_elimination(rows: List[Dict[int, int]], frozen: Optional[int]
     return pivots, log
 
 
+def _primitive_root(columns: List[int]) -> List[int]:
+    """The shortest w with columns = w^k."""
+    n = len(columns)
+    for p in range(1, n):
+        if n % p == 0 and columns[:p] * (n // p) == columns:
+            return columns[:p]
+    return columns
+
+
 class _SchreierElimination:
     """Schreier relators of a subgroup (each with its base relator's z-power
     appended when central exponents are given; z is generator `ngens`) and
-    the unit-pivot elimination of their exponent-sum rows."""
+    the unit-pivot elimination of their exponent-sum rows.
+
+    A base relator w^k, w primitive, is rewritten from one coset of each
+    <w>-orbit, the smallest: from alpha*w its Schreier relator is the one
+    from alpha rotated by one w-block, a conjugate (modulo z's centrality),
+    which has the same row and adds nothing to the normal closure."""
 
     __slots__ = ("words", "rows", "pivots", "pivot_rows", "log", "survivors")
 
     def __init__(self, table: CosetTable, pres: Presentation,
                  central: Optional[Sequence[int]] = None):
-        schreier = schreier_system(table, pres).presentation
-        ngens = schreier.ngens
+        if central is not None and len(central) != len(pres.relators):
+            raise ValueError(f"{len(central)} central exponents for "
+                             f"{len(pres.relators)} base relators")
+        edge_index, _ = _schreier_tree(table)
+        ngens = len(edge_index)
         zcol = None
-        self.words = [rel.syllables for rel in schreier.relators]
         if central is not None:
-            if len(central) != len(pres.relators):
-                raise ValueError(f"{len(central)} central exponents for "
-                                 f"{len(pres.relators)} base relators")
             zcol = ngens
             ngens += 1
-            # the Schreier relators run coset by coset over the base relators
-            self.words = [w + ((zcol, k),) if k else w for w, k in
-                          zip(self.words, list(central) * table.index)]
+        cosets = table.table
+        # per base relator: its columns, their primitive root, its z-power
+        # syllable and the cosets its orbit walks have reached
+        powers = [0] * len(pres.relators) if central is None else central
+        relators = []
+        for rel, k in zip(pres.relators, powers):
+            columns = rel.columns()
+            relators.append((columns, _primitive_root(columns),
+                             ((zcol, k),) if k else (), bytearray(table.index)))
+        # coset by coset, each relator whose orbit has not been reached yet
+        self.words = []
+        for alpha in range(table.index):
+            for columns, root, zpower, reached in relators:
+                if reached[alpha]:
+                    continue
+                self.words.append(_rewrite(cosets, edge_index, columns,
+                                           alpha).syllables + zpower)
+                beta = alpha
+                while True:
+                    for x in root:
+                        beta = cosets[beta][x]
+                    if beta == alpha:
+                        break
+                    reached[beta] = 1
         self.rows = []
         for word in self.words:
             row: Dict[int, int] = {}
@@ -374,7 +417,7 @@ def subgroup_class2(table: CosetTable, pres: Presentation,
     subgroup's preimage in a central extension: each Schreier relator
     carries its base relator's z-power, z is central and is the last
     generator.  The quotient's generators are the columns D that survive
-    unit-pivot elimination; MAX_WEDGE_SIZE bounds |D|.  Each Schreier
+    unit-pivot elimination; MAX_WEDGE_SIZE bounds |D|.  Each kept Schreier
     relator is collected once under the solved images: a pivot relator must
     give the identity, and the others are the quotient's relators.
     """

@@ -419,6 +419,11 @@ def _a4():
     return [a ** 2, b ** 3, (a * b) ** 3]
 
 
+def _s4():
+    a, b = Word.gen(0), Word.gen(1)
+    return [a ** 2, b ** 3, (a * b) ** 4]
+
+
 # base presentation, central exponents, subgroup words, (index, z order)
 PREIMAGE_CASES = {
     # Z/3 lifted to Z/9: a^3 = z and a^3 = z^-2 force z^3 = 1
@@ -432,6 +437,12 @@ PREIMAGE_CASES = {
     # A4 lifted by a^2 = b^3 = (ab)^3 = z^-1: order 72, z of order 6
     "a4-lift-b": (Presentation(["a", "b"], _a4()), [1, 1, 1], [Word.gen(1)],
                   (4, 6)),
+    # S4 lifted by a^2 = b^3 = (ab)^4 = z^-1: the <ab>-orbits on the cosets
+    # have lengths 1, 1 and 4 for <ab>, and 2 for A4 = <b, aba>
+    "s4-lift-ab": (Presentation(["a", "b"], _s4()), [1, 1, 1],
+                   [Word([(0, 1), (1, 1)])], (6, 14)),
+    "s4-lift-a4": (Presentation(["a", "b"], _s4()), [1, 1, 1],
+                   [Word.gen(1), Word([(0, 1), (1, 1), (0, 1)])], (2, 7)),
 }
 
 
@@ -531,6 +542,9 @@ def lifted_subgroup_case(draw):
         Presentation(["a", "b"], [a ** 4, b ** 2, comm]),
         Presentation(["a", "b"], [comm]),
         Presentation(["a", "b"], [a ** 3, b ** 3, (a * b) ** 3]),
+        # S4: ab has order 4, so its orbits on the cosets have lengths 1, 2
+        # or 4 (see PREIMAGE_CASES)
+        Presentation(["a", "b"], _s4()),
     ]))
     exps = draw(st.lists(st.integers(-3, 3), min_size=len(base.relators),
                          max_size=len(base.relators)))
@@ -558,6 +572,13 @@ def test_subgroup_class2_matches_unreduced_schreier_reference(case):
     assert q.abelianization == ref.abelianization
     assert q.derived_part == ref.derived_part
     assert q.image(Word.gen(q.n - 1)).order == ref_z.order
+    # without central exponents: the subgroup itself, against every
+    # relator rewritten from every coset
+    ref = class2_quotient(schreier_system(table, lp.base).presentation)
+    q = subgroup_class2(table, lp.base)
+    assert q.abelianization == ref.abelianization
+    assert q.derived_part == ref.derived_part
+    assert subgroup_abelianization(table, lp.base) == ref.abelianization
 
 
 # ---------------------------------------------------------------- properties

@@ -1,5 +1,6 @@
 """Tests for integer HNF/SNF, quotient invariants and lattice membership."""
 
+import random
 from itertools import combinations
 from math import gcd
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcover.intlinalg import (
+    HNF_CHUNK,
     AbelianInvariants,
+    _hnf_pass,
     hnf,
     quotient_invariants,
     saturation_order,
@@ -182,6 +185,24 @@ def test_hnf_canonicity(m, data):
             k = data.draw(_SMALL)
             rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
     assert hnf(rows) == basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 12),
+       st.integers(3 * HNF_CHUNK + 1, 5 * HNF_CHUNK), st.integers(0, 2 ** 32))
+def test_hnf_fold_matches_one_pass(width, rank, nrows, seed):
+    # more than three chunks of combinations of at most `rank` random rows,
+    # some of them zero rows
+    rng = random.Random(seed)
+    gens = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [rng.randint(-3, 3) for _ in gens]
+        if rng.random() < 0.2:
+            coeffs = [0] * len(gens)
+        rows.append([sum(c * g[j] for c, g in zip(coeffs, gens))
+                     for j in range(width)])
+    assert hnf(rows) == _hnf_pass(rows)
 
 
 @settings(max_examples=400, deadline=None)

@@ -11,8 +11,9 @@ from latcover.fpgroups import (Presentation, Word, parse_presentation,
                                schreier_system, todd_coxeter)
 from latcover.intlinalg import AbelianInvariants, saturation_order
 from latcover.nq2 import (NQ2, Certificate, ClassTwoElement, NQ2Image,
-                          _unit_elimination, class2_quotient, rf_certificate,
-                          wedge_offsets, wedge_size)
+                          _SchreierElimination, _unit_elimination,
+                          class2_quotient, rf_certificate, wedge_offsets,
+                          wedge_size)
 from latcover.pathlift import LiftedPresentation
 from latcover.presets import dm_lattice
 
@@ -662,3 +663,35 @@ def test_unit_elimination_matches_reference_on_whole_group_rows(preset,
         lattice, [Word.gen(g) for g in range(lattice.presentation.ngens)],
         with_z)
 
+
+def _power_root(word):
+    """The shortest w with word = w^k, as letters."""
+    letters = word.letters()
+    n = len(letters)
+    return next(letters[:p] for p in range(1, n + 1)
+                if n % p == 0 and letters[:p] * (n // p) == letters)
+
+
+def test_schreier_relators_one_per_power_orbit():
+    # of the 72 * 7 Schreier relators at hirzebruch, the rewrites of a power
+    # w^k from the smallest coset of each <w>-orbit, in coset-major order
+    lattice = dm_lattice("dm-5-4-1-1-1-6")
+    pres = lattice.presentation
+    table = todd_coxeter(pres, lattice.subgroup_words("hirzebruch"))
+    full = schreier_system(table, pres).presentation
+    exponents = lattice.lift().exponents
+    roots = [Word(_power_root(rel)) for rel in pres.relators]
+    expected = []
+    for alpha in range(table.index):
+        for r, (root, k) in enumerate(zip(roots, exponents)):
+            orbit, beta = {alpha}, table.trace(alpha, root)
+            while beta != alpha:
+                orbit.add(beta)
+                beta = table.trace(beta, root)
+            if alpha == min(orbit):
+                word = full.relators[alpha * len(pres.relators) + r].syllables
+                expected.append(word + ((full.ngens, k),) if k else word)
+    elim = _SchreierElimination(table, pres, exponents)
+    assert elim.words == expected
+    assert (len(elim.rows), len(elim.pivots), len(elim.survivors)) == \
+        (300, 141, 5)
