@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from .exactnum import embed_complex
-from .fpgroups import (EnumerationLimit, Word, format_word, parse_word,
-                       schreier_system, serialize_presentation, tietze_reduce,
-                       todd_coxeter)
+from .fpgroups import (EnumerationLimit, Presentation, Word, format_word,
+                       parse_word, schreier_system, serialize_presentation,
+                       tietze_reduce, todd_coxeter)
 from .presets import (Lattice, LatticePreset, dm_lattice, file_lattice,
                       preset_ids, read_words, verify_preset)
 from .su21 import GroupMatrix
@@ -75,8 +75,14 @@ def _require_matrices(lattice: Lattice) -> None:
 def _lift(lattice: Lattice, samples: int) -> LiftedPresentation:
     from .pathlift import Z_NAME
     _require_matrices(lattice)
-    if Z_NAME in lattice.presentation.gens:
+    pres = lattice.presentation
+    if Z_NAME in pres.gens:
         raise InputError(f"central generator name {Z_NAME!r} collides")
+    bad = next((rel for rel, j in zip(pres.relators, lattice.central_powers())
+                if j is None), None)
+    if bad is not None:
+        raise InputError(f"relator {format_word(bad, pres.gens)} does not "
+                         "evaluate to a central element")
     return lattice.lift(samples)
 
 
@@ -85,14 +91,10 @@ def _lift(lattice: Lattice, samples: int) -> LiftedPresentation:
 
 def cmd_lift(lattice: Lattice, subgroup, args) -> Tuple[str, int]:
     lifted = _lift(lattice, args.samples)
-    pres = lattice.presentation
-    names = pres.gens + [lifted.z_name]
-    z = len(pres.gens)
-    lines = ["generators: " + " ".join(names)]
-    for rel, k in zip(pres.relators, lifted.exponents):
-        lines.append(format_word(rel * Word.gen(z, k) if k else rel, names))
-    lines.append(f"# {lifted.z_name} central")
-    return "\n".join(lines) + "\n", EXIT_OK
+    pres = lifted.to_presentation()
+    relators = pres.relators[:len(lifted.exponents)]  # not the centrality ones
+    return (serialize_presentation(Presentation(pres.gens, relators))
+            + f"# {lifted.z_name} central\n"), EXIT_OK
 
 
 # ------------------------------------------------------------------ winding

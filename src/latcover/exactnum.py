@@ -247,8 +247,7 @@ class CycloElt:
         """Return (M, a) with self = zeta_M^a and M = lcm(2, n), else None."""
         m = self.n if self.n % 2 == 0 else 2 * self.n
         lifted = self.promote(m)
-        return next(((m, a) for a in range(m) if lifted == zeta_power(m, a)),
-                    None)
+        return next(((m, a) for a in range(m) if lifted == zeta(m, a)), None)
 
     def __repr__(self) -> str:
         return f"CycloElt({self.n}, {to_literal(self)!r})"
@@ -280,11 +279,6 @@ def dot(xs: Sequence[CycloElt], ys: Sequence[CycloElt]) -> CycloElt:
 def zeta(n: int, k: int = 1) -> CycloElt:
     """Primitive n-th root of unity zeta_n^k."""
     return CycloElt._of(n, [0] * (k % n) + [1], 1)
-
-
-def zeta_power(m: int, a: int) -> CycloElt:
-    """zeta_m^a at conductor m (m >= 1)."""
-    return zeta(m, a % m) if m > 1 else CycloElt.one()
 
 
 def embed_complex(a: CycloElt, bits: int = 128,

@@ -183,26 +183,26 @@ def format_word(word: Word, gen_names: Sequence[str]) -> str:
                     for g, e in word.syllables) or "1"
 
 
+def content_lines(text: str) -> List[str]:
+    """The lines of an input file that hold something, stripped, with each
+    `#` comment cut off: the one reader of presentation, matrix and
+    subgroup word files."""
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in stripped if line]
+
+
 def parse_presentation(text: str) -> Presentation:
     """Parse the presentation file format: a 'generators:' header line, then
     one relator per line; '#' starts a comment."""
-    gens: Optional[List[str]] = None
-    relators: List[Word] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if gens is None:
-            if not line.startswith("generators:"):
-                raise ValueError(f"expected 'generators:' header, got {raw!r}")
-            gens = line[len("generators:"):].split()
-            if not gens:
-                raise ValueError("no generators declared")
-            continue
-        relators.append(parse_word(line, gens))
-    if gens is None:
+    lines = content_lines(text)
+    if not lines:
         raise ValueError("missing 'generators:' header")
-    return Presentation(gens, relators)
+    if not lines[0].startswith("generators:"):
+        raise ValueError(f"expected 'generators:' header, got {lines[0]!r}")
+    gens = lines[0][len("generators:"):].split()
+    if not gens:
+        raise ValueError("no generators declared")
+    return Presentation(gens, [parse_word(line, gens) for line in lines[1:]])
 
 
 def serialize_presentation(pres: Presentation) -> str:

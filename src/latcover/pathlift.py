@@ -39,6 +39,7 @@ _FRAME = np.array([[1, 0, -1], [0, math.sqrt(2), 0], [1, 0, 1]]) / math.sqrt(2)
 # traceless anti-hermitian log of the central element zeta_3*Id; its
 # one-parameter path stays in SU(2,1) and its projection turns by +2*pi/3
 CENTRAL_THETA = np.array([TWO_PI / 3, -2 * TWO_PI / 3, TWO_PI / 3])
+ZETA3 = cmath.exp(2j * math.pi / 3)
 
 
 class IwasawaCoords:
@@ -169,10 +170,12 @@ class GeneratorLog:
         return self.exp_at(1.0)
 
 
-def central_log() -> GeneratorLog:
-    """Log of the central element zeta_3*Id (the distinguished lift z)."""
+def central_log(j: int = 1) -> GeneratorLog:
+    """Log of the central element zeta_3^j * Id, j in {0, 1, 2}; j = 1 is
+    the distinguished lift z."""
     eye = np.eye(3, dtype=complex)
-    return GeneratorLog(CENTRAL_THETA.copy(), eye, eye.copy())
+    thetas = (np.zeros(3), CENTRAL_THETA, -CENTRAL_THETA)[j]
+    return GeneratorLog(thetas.copy(), eye, eye.copy())
 
 
 def generator_logs(numeric: Sequence[np.ndarray]) -> List[GeneratorLog]:
@@ -215,14 +218,9 @@ def elliptic_log(g: np.ndarray) -> GeneratorLog:
     off = mat - np.eye(3) * mat[0, 0]
     if np.max(np.abs(off)) < 1e-12:
         value = mat[0, 0]
-        zeta3 = cmath.exp(2j * math.pi / 3)
-        eye = np.eye(3, dtype=complex)
-        if abs(value - 1.0) < 1e-9:
-            return GeneratorLog(np.zeros(3), eye, eye.copy())
-        if abs(value - zeta3) < 1e-9:
-            return GeneratorLog(CENTRAL_THETA.copy(), eye, eye.copy())
-        if abs(value - zeta3 ** 2) < 1e-9:
-            return GeneratorLog(-CENTRAL_THETA.copy(), eye, eye.copy())
+        for j in range(3):
+            if abs(value - ZETA3 ** j) < 1e-9:
+                return central_log(j)
         raise ValueError(f"scalar {value} is not in SU(3)")
 
     vals, vecs = np.linalg.eig(mat)
@@ -421,18 +419,17 @@ def lift_presentation(pres: Presentation, powers: Sequence[Optional[int]],
     """
     for name, mat in zip(pres.gens, numeric):
         residual = unitarity_residual(mat)
-        if residual > 1e-8:
+        if residual > UNITARY_TOL:
             raise ValueError(f"generator {name} is not numerically in "
                              f"SU(2,1): residual {residual:.3e}")
     logs = generator_logs(numeric)
-    zeta3 = cmath.exp(2j * math.pi / 3)
 
     exponents = []
     for rel, j in zip(pres.relators, powers):
         if j is None:
             raise ValueError("relator does not evaluate to a central element")
         path = relator_path(rel, logs, samples_per_letter)
-        if abs(path.endpoint - zeta3 ** j) > CLOSURE_TOL:
+        if abs(path.endpoint - ZETA3 ** j) > CLOSURE_TOL:
             raise ValueError(f"numeric path endpoint {path.endpoint} "
                              f"disagrees with exact central value index {j}")
         r = _snap((path.total_argument() - j * TWO_PI / 3) / TWO_PI)

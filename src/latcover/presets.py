@@ -11,8 +11,8 @@ from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from .exactnum import zeta
-from .fpgroups import (Presentation, Word, braid_relator, parse_presentation,
-                       format_word)
+from .fpgroups import (Presentation, Word, braid_relator, content_lines,
+                       format_word, parse_presentation)
 from .su21 import (GroupMatrix, HermitianForm, check_unitary,
                    parse_matrix_file, scale_to_su)
 
@@ -69,12 +69,7 @@ def _single_power(word: Word, gen: int, gens: Sequence[str], what: str) -> int:
 
 def read_words(path: Path, presentation: Presentation) -> List[Word]:
     """Words of a subgroup file, one per line; `#` starts a comment."""
-    words = []
-    for raw in path.read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            words.append(presentation.word(line))
-    return words
+    return [presentation.word(line) for line in content_lines(path.read_text())]
 
 
 class WordProducts:

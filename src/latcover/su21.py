@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from .exactnum import (CycloElt, dot, embed_complex, parse_cyclo, to_literal,
-                       zeta_power)
+from .exactnum import CycloElt, dot, embed_complex, parse_cyclo, to_literal, zeta
+from .fpgroups import content_lines
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,30 +48,23 @@ def _exact_conj_transpose(a: ExactMatrix) -> ExactMatrix:
     return tuple(tuple(a[j][i].conjugate() for j in range(3)) for i in range(3))
 
 
+def _cofactor(a: ExactMatrix, i: int, j: int) -> CycloElt:
+    """(-1)^(i+j) times the 2x2 minor of a without row i and column j: read
+    on the cyclically next rows and columns, the minor carries that sign."""
+    r, s, c, d = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return dot((a[r][c], -a[r][d]), (a[s][d], a[s][c]))
+
+
 def _exact_det(a: ExactMatrix) -> CycloElt:
-    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+    return dot(a[0], [_cofactor(a, 0, j) for j in range(3)])
 
 
 def _exact_adjugate(a: ExactMatrix) -> ExactMatrix:
-    def minor(i, j):
-        rows = [r for r in range(3) if r != i]
-        cols = [c for c in range(3) if c != j]
-        return (a[rows[0]][cols[0]] * a[rows[1]][cols[1]]
-                - a[rows[0]][cols[1]] * a[rows[1]][cols[0]])
-
-    cof = [[minor(i, j) * ((-1) ** (i + j)) for j in range(3)] for i in range(3)]
-    return tuple(tuple(cof[j][i] for j in range(3)) for i in range(3))
+    return tuple(tuple(_cofactor(a, j, i) for j in range(3)) for i in range(3))
 
 
 def _exact_scalar_mul(s: CycloElt, a: ExactMatrix) -> ExactMatrix:
     return tuple(tuple(s * entry for entry in row) for row in a)
-
-
-def _exact_identity() -> ExactMatrix:
-    one, zero = CycloElt.one(), CycloElt.zero()
-    return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
 
 
 def _exact_standard_form() -> ExactMatrix:
@@ -122,10 +115,10 @@ class HermitianForm:
         self._numeric: Optional[np.ndarray] = None
         # Descartes' rule on the real-rooted t^3 - c2 t^2 + c1 t - c0: with
         # c0 < 0 one or three eigenvalues are negative and none is zero, three
-        # exactly when c2 < 0 and c1 > 0 (c1 sums the principal 2x2 minors)
+        # exactly when c2 < 0 and c1 > 0 (c1 sums the principal 2x2 minors,
+        # the diagonal cofactors)
         c2 = h[0][0] + h[1][1] + h[2][2]
-        c1 = dot((h[0][0], h[0][0], h[1][1], -h[0][1], -h[0][2], -h[1][2]),
-                 (h[1][1], h[2][2], h[2][2], h[1][0], h[2][0], h[2][1]))
+        c1 = _cofactor(h, 0, 0) + _cofactor(h, 1, 1) + _cofactor(h, 2, 2)
         c0 = _exact_det(h)
         if _sign(c0) >= 0 or (_sign(c2) < 0 and _sign(c1) > 0):
             raise ValueError("form does not have signature (2,1): trace, minor "
@@ -173,7 +166,7 @@ class GroupMatrix:
 
     @staticmethod
     def identity(form: HermitianForm) -> "GroupMatrix":
-        return GroupMatrix(form, _exact_identity())
+        return GroupMatrix.scalar(CycloElt.one(), form)
 
     @staticmethod
     def scalar(value: CycloElt, form: HermitianForm) -> "GroupMatrix":
@@ -188,9 +181,10 @@ class GroupMatrix:
         return GroupMatrix(self.form, _exact_matmul(self.exact, other.exact))
 
     def inv(self) -> "GroupMatrix":
-        det = _exact_det(self.exact)
-        return GroupMatrix(self.form,
-                           _exact_scalar_mul(det.inv(), _exact_adjugate(self.exact)))
+        adj = _exact_adjugate(self.exact)
+        # row 0's cofactors are the adjugate's first column
+        det = dot(self.exact[0], [row[0] for row in adj])
+        return GroupMatrix(self.form, _exact_scalar_mul(det.inv(), adj))
 
     def __pow__(self, k: int) -> "GroupMatrix":
         if k < 0:
@@ -237,7 +231,7 @@ def scale_to_su(g: GroupMatrix) -> GroupMatrix:
     e = a % m
     if e > m // 2:
         e -= m
-    scaled = g.scale(zeta_power(3 * m, -e))
+    scaled = g.scale(zeta(3 * m, -e))
     if scaled.det() != CycloElt.one():
         raise AssertionError("determinant scaling failed to reach det 1")
     return scaled
@@ -255,11 +249,7 @@ def parse_matrix_file(text: str) -> Tuple[HermitianForm, Dict[str, GroupMatrix]]
     `matrix <name>` blocks each with nine literal lines in row-major order.
     `#` starts a comment.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = content_lines(text)
     pos = 0
 
     def take() -> str:

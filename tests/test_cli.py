@@ -435,6 +435,20 @@ def test_lift_without_matrices_exits_2(capsys, preset1_dir):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["lift", "certify"])
+def test_noncentral_relator_from_files_exits_2(capsys, tmp_path, preset1_dir,
+                                               command):
+    # b*v is not central on the preset's matrices; a preset with such a
+    # relator exits 2 at load, and so does the file path, before any lift
+    (tmp_path / "p.txt").write_text("generators: b u v\nb^3\nu^3\nv^6\nb*v\n")
+    rc, out, err = run(capsys, command, "--pres", str(tmp_path / "p.txt"),
+                       "--matrices", str(preset1_dir / "matrices.txt"))
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: relator b*v does not evaluate to a central "
+                   "element\n")
+
+
 def test_both_preset_and_pres_exits_2(capsys, preset1_dir):
     rc, out, err = run(capsys, "lift", "--preset", PRESET1,
                        "--pres", str(preset1_dir / "presentation.txt"))

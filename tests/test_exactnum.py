@@ -48,6 +48,13 @@ def test_add_inverse():
 
 def test_mul_root_of_unity_pair():
     assert zeta(6) * zeta(6, 5) == 1
+    # zeta takes its exponent mod the conductor, and zeta_1^k is 1, as
+    # scale_to_su and root_of_unity_exponent read it
+    for m, a in [(1, 0), (1, 1), (1, -4), (2, -1), (6, 1), (6, -7), (12, 5),
+                 (18, -1), (36, -35)]:
+        assert zeta(1, a) == 1 and zeta(1, a).n == 1
+        assert zeta(m, -a) == zeta(m, m - a) and zeta(m, -a).n == m
+        assert zeta(m, a) * zeta(m, -a) == 1
 
 
 def test_mul_sqrt_minus_three_squares():

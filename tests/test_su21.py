@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +80,10 @@ def test_form_rejects_non_hermitian():
 def test_form_rejects_wrong_signature():
     with pytest.raises(ValueError, match="signature"):
         HermitianForm(_mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    # negative definite, det and trace negative: the sum of the diagonal
+    # cofactors (102) decides, and an off-diagonal one in its place would not
+    with pytest.raises(ValueError, match="signature"):
+        HermitianForm(_mat([[-9, -4, 1], [-4, -9, -4], [1, -4, -3]]))
 
 
 def _cyclo(n, coeffs):
@@ -299,6 +305,38 @@ def test_powers_match_repeated_products():
         assert g ** k == product
         assert g ** -k == product.inv()
         product = product * g
+
+
+# determinants that are not roots of unity: a rational matrix of det 2, and
+# entries at conductors 3 and 12 beside rationals (conductor 1)
+NON_UNITARY_MATRICES = {
+    "rational-det-2": [[1, 2, Fraction(1, 2)], [0, 3, 1],
+                       [2, 4, Fraction(5, 3)]],
+    "conductors-1-3-12": [[zeta(3), 1, 0],
+                          [Fraction(1, 3), zeta(12, 5), 1 + zeta(12)],
+                          [2, 0, zeta(3, 2) - zeta(12, 7)]],
+}
+
+
+def _leibniz_det(a):
+    total = CycloElt.zero()
+    for perm in itertools.permutations(range(3)):
+        inversions = sum(perm[i] > perm[j] for i, j in ((0, 1), (0, 2), (1, 2)))
+        term = a[0][perm[0]] * a[1][perm[1]] * a[2][perm[2]]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("rows", NON_UNITARY_MATRICES.values(),
+                         ids=NON_UNITARY_MATRICES)
+def test_cofactor_det_and_inverse_of_non_unitary_matrices(rows):
+    form = HermitianForm.standard()
+    g = GroupMatrix(form, _mat(rows))
+    det = g.det()
+    assert det == _leibniz_det(g.exact)
+    assert det.root_of_unity_exponent() is None
+    assert g * g.inv() == GroupMatrix.identity(form)
+    assert g.inv() * g == GroupMatrix.identity(form)
 
 
 def test_scale_rejects_non_root_of_unity_det():

@@ -1,6 +1,7 @@
 """Scripts outside the package must keep importing against the library: the
 fixture generators under tools/ (their entry points sit behind `__main__`
-guards, so this runs none) and the benchmark's layer tracer, whose targets
+guards, so this runs none, but the hirzebruch search must still find the
+bundled words) and the benchmark's layer tracer, whose targets
 name library functions and methods and whose observers read their
 arguments and results."""
 
@@ -14,6 +15,14 @@ TOOLS = ROOT / "tools"
 def test_make_hirzebruch_imports():
     module = load_script("make_hirzebruch", TOOLS / "make_hirzebruch.py")
     assert callable(module.main)
+
+
+def test_make_hirzebruch_search_reproduces_the_bundled_words():
+    module = load_script("make_hirzebruch", TOOLS / "make_hirzebruch.py")
+    bundled = (ROOT / "src" / "latcover" / "presets" / "dm-5-4-1-1-1-6"
+               / "subgroups" / "hirzebruch.words").read_text()
+    assert module.search() == [line for line in bundled.splitlines()
+                               if not line.startswith("#")]
 
 
 def test_benchmark_tracer_targets_resolve():

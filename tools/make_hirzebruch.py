@@ -20,6 +20,13 @@ from latcover.fpgroups import EnumerationLimit, Word, format_word, todd_coxeter
 from latcover.nq2 import subgroup_class2
 from latcover.presets import dm_lattice
 
+TARGET_INDEX = 72
+
+# coset limit of each trial enumeration, as a multiple of the target index:
+# most trial prefixes generate infinite-index subgroups and fill the limit,
+# so it sets the search time; 20 and 50 times the index find the same words
+COSET_LIMIT_FACTOR = 50
+
 # ---------------------------------------------------------------- SL2(F3) x Z/3
 
 
@@ -76,10 +83,9 @@ def closure(gens):
 
 
 def find_surjections():
-    assert len(ELEMENTS) == 72
+    assert len(ELEMENTS) == TARGET_INDEX
     order3 = [x for x in ELEMENTS if power(x, 3) == IDENT]
     order6 = [x for x in ELEMENTS if power(x, 6) == IDENT]
-    print(f"|x: x^3=1| = {len(order3)}, |x: x^6=1| = {len(order6)}")
     surjections = []
     for bb in order3:
         for uu in order3:
@@ -107,19 +113,16 @@ def word_image(word, images):
 
 
 def kernel_signature(images, max_len=4):
-    letters = []
-    for g in range(3):
-        letters.append((g, 1))
-        letters.append((g, -1))
+    """The words of at most max_len letters (letter 2g is generator g, 2g+1
+    its inverse) in the kernel; each word's image is its prefix's times one
+    letter."""
+    letters = [x for image in images for x in (image, inv(image))]
     sig = set()
-    for length in range(1, max_len + 1):
-        for combo in itertools.product(range(6), repeat=length):
-            out = IDENT
-            for c in combo:
-                g, e = letters[c]
-                out = mul(out, images[g] if e == 1 else inv(images[g]))
-            if out == IDENT:
-                sig.add(combo)
+    level = [((), IDENT)]
+    for _ in range(max_len):
+        level = [(combo + (c,), mul(out, x)) for combo, out in level
+                 for c, x in enumerate(letters)]
+        sig.update(combo for combo, out in level if out == IDENT)
     return frozenset(sig)
 
 
@@ -154,15 +157,20 @@ def schreier_words(images):
     return sorted(uniq.values(), key=lambda w: (len(w), str(w.syllables)))
 
 
-def prune(pres, words, target_index=72):
+def _index(pres, words):
+    """Index of <words>, or None when the enumeration passes the limit."""
+    try:
+        return todd_coxeter(pres, words, max_cosets=COSET_LIMIT_FACTOR
+                            * TARGET_INDEX).index
+    except EnumerationLimit:
+        return None
+
+
+def prune(pres, words):
     chosen = []
     for w in words:
         chosen.append(w)
-        try:
-            table = todd_coxeter(pres, chosen, max_cosets=200000)
-        except EnumerationLimit:
-            continue
-        if table.index == target_index:
+        if _index(pres, chosen) == TARGET_INDEX:
             break
     else:
         raise RuntimeError("Schreier words never reached the target index")
@@ -170,13 +178,7 @@ def prune(pres, words, target_index=72):
     keep = list(chosen)
     for w in list(chosen):
         trial = [x for x in keep if x is not w]
-        if not trial:
-            continue
-        try:
-            table = todd_coxeter(pres, trial, max_cosets=200000)
-        except EnumerationLimit:
-            continue
-        if table.index == target_index:
+        if trial and _index(pres, trial) == TARGET_INDEX:
             keep = trial
     return keep
 
@@ -184,9 +186,11 @@ def prune(pres, words, target_index=72):
 # ---------------------------------------------------------------- main
 
 
-def main():
-    preset = dm_lattice("dm-5-4-1-1-1-6")
-    pres = preset.presentation
+def search():
+    """Word lines of the first kernel, in signature order, that is normal of
+    index 72 with class-2 quotient ranks 4 (abelianization) and 3 (derived
+    part); prints one progress line per step."""
+    pres = dm_lattice("dm-5-4-1-1-1-6").presentation
     surjections = find_surjections()
     print(f"surjections onto SL2(F3) x Z/3: {len(surjections)}")
 
@@ -198,30 +202,33 @@ def main():
 
     for n, (sig, images) in enumerate(sorted(kernels.items(),
                                              key=lambda kv: sorted(kv[0]))):
-        words = schreier_words(images)
-        small = prune(pres, words)
-        table = todd_coxeter(pres, small, max_cosets=200000)
+        small = prune(pres, schreier_words(images))
+        table = todd_coxeter(pres, small,
+                             max_cosets=COSET_LIMIT_FACTOR * TARGET_INDEX)
         normal = table.fixes_all_cosets(small)
         q = subgroup_class2(table, pres)
         print(f"kernel {n}: generators {len(small)}, index {table.index}, "
-              f"normal {normal}, surviving Schreier generators {q.n}, "
-              f"ab {q.abelianization.describe()}, "
-              f"derived {q.derived_part.describe()}")
+            f"normal {normal}, surviving Schreier generators {q.n}, "
+            f"ab {q.abelianization.describe()}, "
+            f"derived {q.derived_part.describe()}")
         if (q.abelianization.free_rank == 4
                 and q.derived_part.free_rank == 3 and normal):
-            out = Path(__file__).resolve().parents[1] / "src" / "latcover" \
-                / "presets" / "dm-5-4-1-1-1-6" / "subgroups"
-            out.mkdir(parents=True, exist_ok=True)
-            lines = ["# Index-72 normal subgroup of the dm-5-4-1-1-1-6 preset.",
-                     "# Produced by tools/make_hirzebruch.py; every property",
-                     "# is re-verified by the test suite."]
-            lines += [format_word(w, pres.gens) for w in small]
-            (out / "hirzebruch.words").write_text("\n".join(lines) + "\n")
-            print(f"wrote {out / 'hirzebruch.words'} ({len(small)} words)")
-            for w in small:
-                print("  ", format_word(w, pres.gens))
-            return
+            return [format_word(w, pres.gens) for w in small]
     raise RuntimeError("no kernel matched the expected quotient ranks")
+
+
+def main():
+    words = search()
+    out = Path(__file__).resolve().parents[1] / "src" / "latcover" \
+        / "presets" / "dm-5-4-1-1-1-6" / "subgroups"
+    out.mkdir(parents=True, exist_ok=True)
+    lines = ["# Index-72 normal subgroup of the dm-5-4-1-1-1-6 preset.",
+             "# Produced by tools/make_hirzebruch.py; every property",
+             "# is re-verified by the test suite."]
+    (out / "hirzebruch.words").write_text("\n".join(lines + words) + "\n")
+    print(f"wrote {out / 'hirzebruch.words'} ({len(words)} words)")
+    for line in words:
+        print("  ", line)
 
 
 if __name__ == "__main__":
