@@ -57,19 +57,13 @@ def _template_presentation(r1: int, r2: int) -> Presentation:
     ])
 
 
-def _single_power(word: Word, gen: int, gens: Sequence[str], what: str) -> int:
-    if len(word.syllables) != 1 or word.syllables[0][0] != gen:
-        raise ValueError(f"{what}: expected a power of generator {gens[gen]}, "
-                         f"got {format_word(word, gens)}")
-    exp = word.syllables[0][1]
-    if exp < 2:
-        raise ValueError(f"{what}: exponent must be at least 2, got {exp}")
-    return exp
-
-
 def read_words(path: Path, presentation: Presentation) -> List[Word]:
-    """Words of a subgroup file, one per line; `#` starts a comment."""
-    return [presentation.word(line) for line in content_lines(path.read_text())]
+    """Words of a subgroup file, at least one, one per line; `#` starts a
+    comment."""
+    words = [presentation.word(line) for line in content_lines(path.read_text())]
+    if not words:
+        raise ValueError(f"subgroup file {path} holds no words")
+    return words
 
 
 class WordProducts:
@@ -123,15 +117,18 @@ def central_power(word: Word, products: WordProducts) -> Optional[int]:
 class Lattice:
     """A presentation, optionally with exact generator matrices.
 
-    Matrices of any root-of-unity determinant are scaled into SU(2,1). Each
-    relator's central power is evaluated exactly once, on first use. The
-    numeric view, conjugated to the standard form where path sampling
-    works, is built on the first `numerics()` call: loading a lattice
-    embeds nothing and imports no numeric module.
+    Matrices are checked once, here: their names must be the generator
+    names, each is scaled into SU(2,1) from any root-of-unity determinant
+    and must then be exactly unitary for the form, and each relator must
+    evaluate to a central element zeta_3^j * Id, its j kept in
+    `central_powers` (one `WordProducts` pass). The numeric view,
+    conjugated to the standard form where path sampling works, is built
+    on the first `numerics()` call: loading a lattice embeds nothing and
+    imports no numeric module.
     """
 
-    __slots__ = ("presentation", "form", "matrices", "standard_numerics",
-                 "_powers")
+    __slots__ = ("presentation", "form", "matrices", "central_powers",
+                 "standard_numerics")
 
     def __init__(self, presentation: Presentation,
                  form: Optional[HermitianForm] = None,
@@ -139,23 +136,27 @@ class Lattice:
         self.presentation = presentation
         self.form = form
         self.matrices: Optional[Dict[str, GroupMatrix]] = None
+        self.central_powers: Optional[List[int]] = None
         self.standard_numerics: Optional[List[np.ndarray]] = None
-        self._powers: Optional[List[Optional[int]]] = None
         if matrices is None:
             return
-        missing = [g for g in presentation.gens if g not in matrices]
-        if missing:
-            raise ValueError(f"matrix file lacks generators {missing}")
-        self.matrices = {g: scale_to_su(matrices[g]) for g in presentation.gens}
-
-    def central_powers(self) -> List[Optional[int]]:
-        """Each relator's exact central power (see `central_power`)."""
-        if self._powers is None:
-            products = WordProducts(
-                [self.matrices[g] for g in self.presentation.gens], self.form)
-            self._powers = [central_power(rel, products)
-                            for rel in self.presentation.relators]
-        return self._powers
+        gens = presentation.gens
+        if sorted(matrices) != sorted(gens):
+            raise ValueError(f"matrix names {sorted(matrices)} do not match "
+                             f"generators {gens}")
+        self.matrices = {g: scale_to_su(matrices[g]) for g in gens}
+        for name, mat in self.matrices.items():
+            if not check_unitary(mat):
+                raise ValueError(f"matrix {name} is not unitary for the "
+                                 f"declared form")
+        products = WordProducts([self.matrices[g] for g in gens], form)
+        self.central_powers = []
+        for rel in presentation.relators:
+            j = central_power(rel, products)
+            if j is None:
+                raise ValueError(f"relator {format_word(rel, gens)} does not "
+                                 "evaluate to a central element")
+            self.central_powers.append(j)
 
     def numerics(self) -> List[np.ndarray]:
         """Standard-form numeric generator matrices, in generator order."""
@@ -175,24 +176,18 @@ class Lattice:
         if samples_per_letter is None:
             samples_per_letter = pathlift.DEFAULT_SAMPLES_PER_LETTER
         return pathlift.normalize_lift(pathlift.lift_presentation(
-            self.presentation, self.central_powers(), self.numerics(),
+            self.presentation, self.central_powers, self.numerics(),
             samples_per_letter))
 
 
 def file_lattice(pres_path: Path, matrices_path: Optional[Path] = None
                  ) -> Lattice:
-    """Load a presentation file and, optionally, a matrix file whose
-    matrices must be exactly unitary for the declared form."""
+    """Load a presentation file and, optionally, a matrix file."""
     presentation = parse_presentation(Path(pres_path).read_text())
     if not matrices_path:
         return Lattice(presentation)
-    form, raw = parse_matrix_file(Path(matrices_path).read_text())
-    lattice = Lattice(presentation, form, raw)
-    for name, mat in lattice.matrices.items():
-        if not check_unitary(mat):
-            raise ValueError(f"matrix {name} is not unitary for the "
-                             f"declared form")
-    return lattice
+    return Lattice(presentation, *parse_matrix_file(
+        Path(matrices_path).read_text()))
 
 
 class LatticePreset(Lattice):
@@ -230,19 +225,16 @@ class LatticePreset(Lattice):
 
 
 def verify_preset(preset: LatticePreset) -> List[Tuple[str, int]]:
-    """Check every relator's exact value on the scaled matrices.
+    """Compare every relator's exact central power, found at load, with the
+    template's.
 
     Returns (relator, j) pairs with relator value = zhat^j; raises if any
-    value is not a power of the central element or disagrees with the
-    expected powers.
+    disagrees with the expected powers.
     """
     results: List[Tuple[str, int]] = []
     for rel, j, expected in zip(preset.presentation.relators,
-                                preset.central_powers(), EXPECTED_POWERS):
+                                preset.central_powers, EXPECTED_POWERS):
         text = format_word(rel, preset.presentation.gens)
-        if j is None:
-            raise ValueError(f"relator {text} does not evaluate to a central "
-                             f"power in preset {preset.name}")
         if j != expected:
             raise ValueError(f"relator {text} evaluates to zhat^{j}, "
                              f"expected zhat^{expected} in preset {preset.name}")
@@ -262,24 +254,23 @@ def dm_lattice(preset_id: str) -> LatticePreset:
         raise FileNotFoundError(f"preset fixture directory not found: {root}")
 
     presentation = parse_presentation((root / "presentation.txt").read_text())
-    if presentation.gens != ["b", "u", "v"]:
+    gens, relators = presentation.gens, presentation.relators
+    if gens != ["b", "u", "v"]:
         raise ValueError(f"preset {name}: generators must be b, u, v, "
-                         f"got {presentation.gens}")
-    if len(presentation.relators) != len(EXPECTED_POWERS):
+                         f"got {gens}")
+    if len(relators) != len(EXPECTED_POWERS):
         raise ValueError(f"preset {name}: expected {len(EXPECTED_POWERS)} "
-                         f"relators, got {len(presentation.relators)}")
-    what = f"preset {name}"
-    r1 = _single_power(presentation.relators[0], 0, presentation.gens, what)
-    r2 = _single_power(presentation.relators[2], 2, presentation.gens, what)
-    template = _template_presentation(r1, r2)
-    if presentation.relators != template.relators:
-        raise ValueError(f"preset {name}: relators do not match the "
-                         f"triangle-lattice template with orders ({r1}, {r2})")
+                         f"relators, got {len(relators)}")
+    r1, r2 = relators[0].exponent_sum(0), relators[2].exponent_sum(2)
+    if min(r1, r2) < 2:
+        raise ValueError(f"preset {name}: orders of b and v must be at least "
+                         f"2, got {r1} and {r2}")
+    for want, got in zip(_template_presentation(r1, r2).relators, relators):
+        if got != want:
+            raise ValueError(f"preset {name}: expected {format_word(want, gens)}"
+                             f", got {format_word(got, gens)}")
 
     form, unscaled = parse_matrix_file((root / "matrices.txt").read_text())
-    if sorted(unscaled) != sorted(presentation.gens):
-        raise ValueError(f"preset {name}: matrix names {sorted(unscaled)} do "
-                         f"not match generators {presentation.gens}")
     preset = LatticePreset(name, root, presentation, form, unscaled)
     verify_preset(preset)
     return preset

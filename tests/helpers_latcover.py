@@ -332,7 +332,7 @@ def picard_lattice(pres: Presentation) -> Lattice:
 
 def raw_lift(lattice: Lattice) -> LiftedPresentation:
     """The lattice's lift before the generator gauge is normalized."""
-    return lift_presentation(lattice.presentation, lattice.central_powers(),
+    return lift_presentation(lattice.presentation, lattice.central_powers,
                              lattice.numerics())
 
 

@@ -435,18 +435,47 @@ def test_lift_without_matrices_exits_2(capsys, preset1_dir):
     assert out == ""
 
 
-@pytest.mark.parametrize("command", ["lift", "certify"])
+@pytest.mark.parametrize("command", ["lift", "certify", "cosets", "abelian",
+                                     "nq2", "winding"])
 def test_noncentral_relator_from_files_exits_2(capsys, tmp_path, preset1_dir,
                                                command):
-    # b*v is not central on the preset's matrices; a preset with such a
-    # relator exits 2 at load, and so does the file path, before any lift
+    # b*v is not central on the preset's matrices: every command given
+    # matrices exits 2 at load, from a preset or from files alike
     (tmp_path / "p.txt").write_text("generators: b u v\nb^3\nu^3\nv^6\nb*v\n")
+    word = ["--word", "b^9"] if command == "winding" else []
     rc, out, err = run(capsys, command, "--pres", str(tmp_path / "p.txt"),
-                       "--matrices", str(preset1_dir / "matrices.txt"))
+                       "--matrices", str(preset1_dir / "matrices.txt"), *word)
     assert rc == 2
     assert out == ""
     assert err == ("error: relator b*v does not evaluate to a central "
                    "element\n")
+
+
+def test_extra_matrix_exits_2(capsys, tmp_path, preset1_dir):
+    # every matrix must name a generator: w is not one
+    entries = ["2", "0", "0", "0", "1/2", "0", "0", "0", "1"]
+    (tmp_path / "m.txt").write_text(
+        (preset1_dir / "matrices.txt").read_text() + "matrix w\n"
+        + "\n".join(entries) + "\n")
+    rc, out, err = run(capsys, "lift",
+                       "--pres", str(preset1_dir / "presentation.txt"),
+                       "--matrices", str(tmp_path / "m.txt"))
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: matrix names ['b', 'u', 'v', 'w'] do not match "
+                   "generators ['b', 'u', 'v']\n")
+
+
+@pytest.mark.parametrize("command", ["cosets", "subpres", "abelian", "nq2",
+                                     "certify"])
+def test_empty_subgroup_file_exits_2(capsys, tmp_path, command):
+    # a file without words names neither the trivial nor the whole subgroup
+    (tmp_path / "h.words").write_text("# no words here\n\n")
+    rc, out, err = run(capsys, command, "--preset", PRESET1,
+                       "--subgroup", str(tmp_path / "h.words"))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: subgroup file {tmp_path / 'h.words'} holds no words\n"
 
 
 def test_both_preset_and_pres_exits_2(capsys, preset1_dir):
@@ -677,6 +706,20 @@ def test_bits_below_double_precision_exits_2(capsys, monkeypatch):
     assert rc == 2
     assert out == ""
     assert err == "error: --bits must be at least 53 (double precision)\n"
+
+
+def test_bits_above_bound_exits_2(capsys, monkeypatch):
+    import latcover.cli as cli
+
+    def unexpected(*args):
+        raise AssertionError("the preset loaded before the --bits check")
+
+    monkeypatch.setattr(cli, "dm_lattice", unexpected)
+    rc, out, err = run(capsys, "verify", "--preset", PRESET1,
+                       "--bits", str(cli.MAX_BITS + 1))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: --bits must be at most {cli.MAX_BITS}\n"
 
 
 def test_verify_needs_preset_exits_2(capsys, preset1_dir):

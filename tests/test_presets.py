@@ -118,8 +118,8 @@ def test_central_powers_invert_each_generator_at_most_once(monkeypatch,
                         _counting(inverted, GroupMatrix.inv))
     monkeypatch.setattr(GroupMatrix, "__mul__",
                         _counting(multiplied, GroupMatrix.__mul__))
-    preset = dm_lattice(preset_id)  # verify_preset runs central_powers()
-    assert preset.central_powers() == list(EXPECTED_POWERS)
+    preset = dm_lattice(preset_id)  # the loader finds the central powers
+    assert preset.central_powers == list(EXPECTED_POWERS)
     assert inverted == []
     assert len(multiplied) == {"dm-5-4-1-1-1-6": 20,
                                "dm-11-7-2-2-2-12": 19}[preset_id]
@@ -181,6 +181,19 @@ def test_corrupted_matrix_fails_loudly(tmp_path, monkeypatch):
         dm_lattice("dm-5-4-1-1-1-6")
 
 
+def test_non_unitary_preset_matrix_is_rejected(tmp_path, monkeypatch):
+    # diag(2, 1/2, 1) has det 1, so only the unitarity check can reject it
+    root = _copy_preset(tmp_path, "dm-5-4-1-1-1-6")
+    path = root / "dm-5-4-1-1-1-6" / "matrices.txt"
+    head, tail = path.read_text().split("matrix v\n")
+    assert "matrix" not in tail
+    path.write_text(head + "matrix v\n" + "\n".join(
+        ["2", "0", "0", "0", "1/2", "0", "0", "0", "1"]) + "\n")
+    monkeypatch.setenv("LATCOVER_PRESETS", str(root))
+    with pytest.raises(ValueError, match="matrix v is not unitary"):
+        dm_lattice("dm-5-4-1-1-1-6")
+
+
 def test_corrupted_presentation_fails_loudly(tmp_path, monkeypatch):
     root = _copy_preset(tmp_path, "dm-5-4-1-1-1-6")
     path = root / "dm-5-4-1-1-1-6" / "presentation.txt"
@@ -193,7 +206,9 @@ def test_corrupted_presentation_fails_loudly(tmp_path, monkeypatch):
 @pytest.mark.parametrize("rewrite, message", [
     (lambda text: text.replace("\nb^3\n", "\nb^3*u\n", 1), "got b^3*u"),
     (lambda text: "\n".join(text.splitlines()[:3]) + "\n", "relators, got 2"),
-], ids=["non-power-relator", "too-few-relators"])
+    (lambda text: text.replace("\nb^3\nu^3\n", "\nb\nu\n", 1),
+     "orders of b and v must be at least 2, got 1 and 6"),
+], ids=["non-power-relator", "too-few-relators", "order-below-2"])
 def test_malformed_preset_exits_2(tmp_path, monkeypatch, capsys, rewrite,
                                   message):
     root = _copy_preset(tmp_path, "dm-5-4-1-1-1-6")

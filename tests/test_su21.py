@@ -275,7 +275,7 @@ def test_numeric_view_is_embedded_once_on_read(monkeypatch):
     powers = [central_power(rel, products) for rel in pres.relators]
     assert powers == [2, 2, 2, 0, 0, 0, 0]
     lattice = Lattice(pres, form, {"b": b0, "u": u0, "v": v0})
-    assert lattice.central_powers() == powers
+    assert lattice.central_powers == powers
     assert calls == []
     first = lattice.numerics()
     assert len(calls) == 3

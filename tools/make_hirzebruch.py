@@ -100,7 +100,7 @@ def find_surjections():
                     continue
                 if power(mul(mul(bb, uu), vv), 3) != IDENT:
                     continue
-                if len(closure((bb, uu, vv))) == 72:
+                if len(closure((bb, uu, vv))) == TARGET_INDEX:
                     surjections.append((bb, uu, vv))
     return surjections
 
@@ -141,7 +141,7 @@ def schreier_words(images):
             if y not in index:
                 index[y] = index[x] * gens[g]
                 frontier.append(y)
-    assert len(index) == 72
+    assert len(index) == TARGET_INDEX
     words = []
     for x, tx in index.items():
         for g in range(3):
