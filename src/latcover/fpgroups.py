@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .intlinalg import AbelianInvariants, quotient_invariants
@@ -18,6 +19,9 @@ MAX_WORD_LETTERS = 2 ** 22
 
 # moves (eliminations and shortenings) one Tietze reduction may make
 TIETZE_STEPS = 200000
+
+# cosets added to every column of a Todd-Coxeter table when it fills
+_COSET_CHUNK = 4096
 
 
 class EnumerationLimit(RuntimeError):
@@ -248,14 +252,16 @@ class CosetTable:
         """True iff each word fixes every coset, that is, lies in every
         conjugate of the subgroup (`validates` asks this of the relators).
         Each word is expanded once and walked from all cosets together, one
-        column at a time."""
-        start = list(range(self.index))
-        columns = list(zip(*self.table))
+        column gather (`itemgetter`) per letter.  Every column gains a fixed
+        extra point, so a gather always picks at least two entries and
+        returns a tuple, also at index 1."""
+        n = self.index
+        start = tuple(range(n + 1))
+        columns = list(zip(*self.table, [n] * 2 * self.ngens))
         for w in words:
             image = start
             for x in w.columns():
-                col = columns[x]
-                image = [col[c] for c in image]
+                image = itemgetter(*image)(columns[x])
             if image != start:
                 return False
         return True
@@ -279,14 +285,15 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Word] = (),
     _check_letters("relators and subgroup words",
                    sum(len(w) for w in (*pres.relators, *subgroup_gens)))
     d = pres.ngens
-    ncols = 2 * d
-    # each path: its columns forward, and inverted (bit 0 flipped) for the
-    # backward scan
+    # one list per column (cols[x][coset]), grown in place a chunk at a time;
+    # pairs[x] is (column x, its inverse column)
+    cols = [[None] * _COSET_CHUNK for _ in range(2 * d)]
+    pairs = [(cols[x], cols[x ^ 1]) for x in range(2 * d)]
+    # each path: its letters' columns, and their inverses for the backward scan
     relator_paths, subgroup_paths = (
-        [(p, [x ^ 1 for x in p]) for p in map(Word.columns, words)]
+        [([cols[x] for x in p], [cols[x ^ 1] for x in p], len(p) - 1)
+         for p in map(Word.columns, words)]
         for words in (pres.relators, subgroup_gens))
-
-    table: List[List[Optional[int]]] = [[None] * ncols]
     parent = [0]
 
     def rep(k: int) -> int:
@@ -297,16 +304,17 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Word] = (),
             parent[k], k = root, parent[k]
         return root
 
-    def define(alpha: int, x: int) -> int:
-        beta = len(table)
+    def define(col: list, inv: list, alpha: int) -> int:
+        beta = len(parent)
         if beta >= max_cosets:
             raise EnumerationLimit(
                 f"coset limit {max_cosets} exceeded during enumeration")
-        row = [None] * ncols
-        row[x ^ 1] = alpha
-        table.append(row)
+        if beta == len(inv):
+            for c in cols:
+                c.extend([None] * _COSET_CHUNK)
+        col[alpha] = beta
+        inv[beta] = alpha
         parent.append(beta)
-        table[alpha][x] = beta
         return beta
 
     def coincidence(a: int, b: int) -> None:
@@ -324,76 +332,86 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Word] = (),
         merge(a, b)
         while queue:
             gamma = queue.popleft()
-            row = table[gamma]
-            for x in range(ncols):
-                delta = row[x]
+            for col, inv in pairs:
+                delta = col[gamma]
                 if delta is None:
                     continue
-                table[delta][x ^ 1] = None
-                mu, nu = rep(gamma), rep(delta)
-                if table[mu][x] is not None:
-                    merge(nu, table[mu][x])
-                elif table[nu][x ^ 1] is not None:
-                    merge(mu, table[nu][x ^ 1])
+                inv[delta] = None
+                # rep, without the call when a parent is already the root
+                mu, nu = parent[gamma], parent[delta]
+                if parent[mu] != mu:
+                    mu = rep(gamma)
+                if parent[nu] != nu:
+                    nu = rep(delta)
+                if col[mu] is not None:
+                    merge(nu, col[mu])
+                elif inv[nu] is not None:
+                    merge(mu, inv[nu])
                 else:
-                    table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
+                    col[mu] = nu
+                    inv[nu] = mu
 
-    def scan_and_fill(alpha: int, fwd: List[int], bwd: List[int]) -> None:
-        f = b = alpha
-        i, j = 0, len(fwd) - 1
-        while True:
-            while i <= j and (nxt := table[f][fwd[i]]) is not None:
-                f = nxt
-                i += 1
-            if i > j:
-                if f != b:
+    def scan_and_fill(alpha: int, paths: list) -> None:
+        """Scan and fill each path at alpha, until alpha is no longer live."""
+        for fwd, bwd, j in paths:
+            f = b = alpha
+            i = 0
+            while True:
+                while i <= j and (nxt := fwd[i][f]) is not None:
+                    f = nxt
+                    i += 1
+                if i > j:
+                    if f != b:
+                        coincidence(f, b)
+                    break
+                while j >= i and (nxt := bwd[j][b]) is not None:
+                    b = nxt
+                    j -= 1
+                if j < i:
                     coincidence(f, b)
+                    break
+                if i == j:
+                    fwd[i][f] = b
+                    bwd[i][b] = f
+                    break
+                f = define(fwd[i], bwd[i], f)
+                i += 1
+            if parent[alpha] != alpha:
                 return
-            while j >= i and (nxt := table[b][bwd[j]]) is not None:
-                b = nxt
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if i == j:
-                table[f][fwd[i]] = b
-                table[b][bwd[i]] = f
-                return
-            f = define(f, fwd[i])
-            i += 1
 
-    for fwd, bwd in subgroup_paths:
-        scan_and_fill(0, fwd, bwd)
+    scan_and_fill(0, subgroup_paths)
 
     # a coset is live while it is its own parent
     alpha = 0
-    while alpha < len(table):
+    while alpha < len(parent):
         if parent[alpha] == alpha:
-            for fwd, bwd in relator_paths:
-                scan_and_fill(alpha, fwd, bwd)
-                if parent[alpha] != alpha:
-                    break
-            else:
-                row = table[alpha]
-                for x in range(ncols):
-                    if row[x] is None:
-                        define(alpha, x)
+            scan_and_fill(alpha, relator_paths)
+            if parent[alpha] == alpha:
+                for col, inv in pairs:
+                    if col[alpha] is None:
+                        define(col, inv, alpha)
         alpha += 1
 
     # standardize: relabel the live cosets in breadth-first scan order,
     # pointing each entry at its live representative first
     order = [0]
-    relabel = {0: 0}
+    relabel = [0] + [None] * (len(parent) - 1)
     for c in order:
-        row = table[c]
-        for x, nxt in enumerate(row):
+        for col in cols:
+            nxt = col[c]
             if parent[nxt] != nxt:
-                row[x] = nxt = rep(nxt)
-            if nxt not in relabel:
+                col[c] = nxt = rep(nxt)
+            if relabel[nxt] is None:
                 relabel[nxt] = len(order)
                 order.append(nxt)
-    final = [[relabel[nxt] for nxt in table[c]] for c in order]
+    # the rows, from two gathers per column (a one-coset gather would give
+    # an entry, not a tuple)
+    if len(order) == 1:
+        final = [[0] * (2 * d)]
+    else:
+        live = itemgetter(*order)
+        final = list(map(list, zip(*[itemgetter(*live(col))(relabel)
+                                     for col in cols])))
 
     result = CosetTable(d, final)
     if not result.validates(pres, subgroup_gens):

@@ -1,7 +1,9 @@
 """Shared builders for the worked lattice data used across test modules."""
 
+import functools
 import heapq
 import importlib.util
+import random
 from collections import deque
 from fractions import Fraction
 from math import gcd
@@ -18,7 +20,7 @@ from latcover.intlinalg import hnf, quotient_invariants, saturation_order
 from latcover.nq2 import ClassTwoElement, _unit_wedge, wedge_size
 from latcover.pathlift import (ARG_STEP_LIMIT, Z0, LiftedPresentation,
                                lift_presentation)
-from latcover.presets import Lattice
+from latcover.presets import Lattice, dm_lattice
 from latcover.su21 import GroupMatrix, HermitianForm, scale_to_su
 
 
@@ -31,6 +33,20 @@ def load_script(name: str, path: Path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_mod3_words(seed: int) -> Tuple[Word, ...]:
+    """The cosets benchmark's generators of the index-6048 kernel of
+    reduction mod the prime above 3 on dm-11-7-2-2-2-12 (300 letters, the
+    benchmark's budget), as words of the preset's presentation."""
+    reference = load_script("perfbench_reference",
+                            ROOT / "perfbench" / "reference.py")
+    name = "dm-11-7-2-2-2-12"
+    files = reference.PresetFiles(ROOT / "src" / "latcover" / "presets" / name)
+    pres = dm_lattice(name).presentation
+    return tuple(pres.word(text) for text in
+                 reference.kernel_words(files, random.Random(seed), 300))
 
 
 def euler_phi(n):

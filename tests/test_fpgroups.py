@@ -25,7 +25,7 @@ from latcover.nq2 import (class2_quotient, subgroup_abelianization,
 from latcover.pathlift import LiftedPresentation
 from latcover.presets import dm_lattice
 
-from helpers_latcover import (ROOT, load_script, reference_tietze_reduce,
+from helpers_latcover import (kernel_mod3_words, reference_tietze_reduce,
                               reference_todd_coxeter)
 
 
@@ -247,6 +247,22 @@ def test_is_normal_identity_word_and_index_one():
         assert table.is_normal(whole) and table.fixes_all_cosets(whole)
 
 
+def test_relator_walk_at_index_one_and_two():
+    # <a | a^2>: the word a fixes the one coset of H = <a>, and swaps the
+    # two cosets of H = 1; a one-coset walk gathers one entry per column
+    pres = parse_presentation("generators: a\na^2\n")
+    a = Word.gen(0)
+    whole = todd_coxeter(pres, [a])
+    assert whole.table == [[0, 0]]
+    assert whole.fixes_all_cosets([a]) and whole.validates(pres, [a])
+    trivial = todd_coxeter(pres, [])
+    assert trivial.table == [[1, 1], [0, 0]]
+    assert trivial.fixes_all_cosets(pres.relators)
+    assert not trivial.fixes_all_cosets([a])
+    assert trivial.validates(pres, []) and not trivial.validates(pres, [a])
+    assert todd_coxeter(Presentation([], [])).table == [[]]
+
+
 # ---------------------------------------------------------------- Schreier
 
 
@@ -397,14 +413,8 @@ def test_tietze_index_6048_kernel_to_fifty_generators(monkeypatch):
     Set LATCOVER_STRETCH=1 to run it."""
     if not os.environ.get("LATCOVER_STRETCH"):
         pytest.skip("stretch check not requested (set LATCOVER_STRETCH=1)")
-    reference = load_script("perfbench_reference",
-                            ROOT / "perfbench" / "reference.py")
-    name = "dm-11-7-2-2-2-12"
-    files = reference.PresetFiles(ROOT / "src" / "latcover" / "presets" / name)
-    pres = dm_lattice(name).presentation
-    words = [pres.word(text) for text in
-             reference.kernel_words(files, random.Random(1), 300)]
-    table = todd_coxeter(pres, words)
+    pres = dm_lattice("dm-11-7-2-2-2-12").presentation
+    table = todd_coxeter(pres, kernel_mod3_words(1))
     assert table.index == 6048
     monkeypatch.setattr(fpgroups, "TIETZE_STEPS", 12050)
     reduced = tietze_reduce(schreier_system(table, pres).presentation)
@@ -760,6 +770,24 @@ def enumeration_case(draw):
     limit = draw(st.one_of(st.integers(min_value=1, max_value=60),
                            st.just(2000)))
     return pres, words, limit
+
+
+def test_todd_coxeter_matches_reference_at_index_6048():
+    # the benchmark's seed-1 kernel words: 20,684 definitions and about
+    # 2,000 coincidences, far beyond the random cases below.  Both engines
+    # finish with room for exactly those cosets and stop one short, so the
+    # limit fires after the same definition
+    pres = dm_lattice("dm-11-7-2-2-2-12").presentation
+    words = kernel_mod3_words(1)
+    tables, messages = [], []
+    for engine in (todd_coxeter, reference_todd_coxeter):
+        tables.append(engine(pres, words, max_cosets=20685).table)
+        for limit in (6048, 20684):
+            with pytest.raises(EnumerationLimit) as info:
+                engine(pres, words, max_cosets=limit)
+            messages.append(str(info.value))
+    assert len(tables[0]) == 6048 and tables[0] == tables[1]
+    assert messages[:2] == messages[2:]
 
 
 def test_todd_coxeter_matches_reference():
